@@ -8,18 +8,32 @@ Two mechanisms, layered on the reference :class:`Interpreter`:
    time.  ``step()`` then becomes one list index and one call -- no
    opcode string comparison chain, no per-step cost lookup.
 
-2. **Basic-block closure compilation.** Straight-line runs of
-   register-only instructions (see :data:`repro.isa.cfg.FUSEABLE_OPS`)
-   are compiled -- via one ``exec`` of generated source per program --
-   into a single closure that executes the whole run in one call and
-   retires its cycles/instret in one update.  ``step_fast()``
-   dispatches through these blocks.
+2. **Tiered basic-block compilation.** Straight-line runs (see
+   :func:`repro.isa.cfg.basic_runs`) can be compiled into a single
+   closure that executes the whole run in one call and retires its
+   cycles/instret in one update.  ``step_fast()`` dispatches through a
+   block table that starts with a cheap counting stub at each run
+   leader; the stub executes the leader on predecoded dispatch and,
+   after ``_PROMOTE_AFTER`` entries, compiles *that run alone* (one
+   small generated source, one ``compile()``), runs it with ``exec``
+   in the table's namespace and replaces itself with the block.  The
+   taken table and the sandboxed NT-path table promote independently.
+   Compiled code objects are memoised on the :class:`Program`
+   (``Program.block_memo``), keyed by the :class:`_BlockCompiler`
+   variant key and the leader, so each later run of the same program
+   and variant installs a memoised block at its first entry without
+   codegen; a run that fails to compile is memoised as "stay
+   predecoded".  The memo lives and dies with its Program.
 
-Semantics are *identical* to the reference backend by construction
-(DESIGN.md, "Dual-backend equivalence invariant"):
+Results never depend on when, or whether, a block is compiled or
+memoised: a stub and the block that replaces it execute the same
+instructions with the same effects.  Semantics are *identical* to the
+reference backend by construction (DESIGN.md, "Dual-backend
+equivalence invariant"):
 
-* fused blocks contain no branch, memory access, syscall, or detector
-  hook, so nothing observable happens at a finer grain than a block;
+* fused blocks fire cache and detector hooks per instruction, in
+  reference order, with ``core.pc`` parked on the hooked instruction,
+  and contain no call, return or syscall;
 * a faulting instruction inside a block (``div`` by zero, stack
   overflow) first flushes the cycles/instret of the instructions
   already executed and restores the faulting PC, reproducing the
@@ -56,9 +70,16 @@ from repro.resilience import site_hook
 _SHIFT_MASK = 63
 _SP = Reg.SP
 
-# Upper bound on instructions stitched into one superblock trace
-# (compile-time source-size control; semantics are cap-independent).
-_TRACE_CAP = 64
+# Entries into a run leader before its block is compiled (tier-up).
+# Results never depend on it: a stub and its block execute the same
+# instructions with the same effects.  Chosen by measurement on the
+# perfbench workloads (2-vCPU Linux host, CPython 3.11): 256 beat 128
+# on fig8_short by ~13% and tied on fig9_long and table4_bugs; 512
+# gained nothing over 256.
+_PROMOTE_AFTER = 256
+
+# Memo lookup default: no entry yet for this leader and variant.
+_COLD = object()
 
 
 def _is_reg(value):
@@ -569,12 +590,9 @@ class _BlockCompiler:
     address records the old value -- instead of plain memory.
     """
 
-    def __init__(self, interp, sandboxed=False, runs_map=None):
+    def __init__(self, interp, sandboxed=False):
         self.interp = interp
         self.sandboxed = sandboxed
-        # leader -> (count, terminator) for every compiled run; lets
-        # ``compile`` stitch traces across absorbed jmps.
-        self.runs_map = runs_map if runs_map is not None else {}
         self.cost = interp._cost
         self.has_det = interp.detector is not None
         self.has_cache = interp.cache is not None
@@ -589,70 +607,35 @@ class _BlockCompiler:
         # one built from the same config, so the geometry constants
         # bound here stay valid.
         self.line_shift = None
+        self.cache_hit = None
         if self.has_cache:
             line_words = interp.cache.line_words
             if line_words > 0 and line_words & (line_words - 1) == 0:
                 self.line_shift = line_words.bit_length() - 1
                 self.cache_hit = interp.cache.hit_latency
+        # Generated source depends on the program and on exactly the
+        # constants bound above; code memoised on the Program is keyed
+        # by this tuple (plus the leader), so any constant added above
+        # must be added here too.
+        self.variant = (sandboxed, self.has_det, self.has_cache,
+                        self.l1_hit, self.inline_read, self.line_shift,
+                        self.cache_hit, tuple(sorted(self.cost.items())))
 
     # ------------------------------------------------------------------
 
     def compile(self, leader, count, terminator):
-        """Returns ``(name, source, extra_namespace)`` or None.
-
-        When the run ends in an absorbed ``jmp`` whose target leads
-        another compiled run, the successor's instructions are stitched
-        into the same closure (a superblock trace), repeating until a
-        conditional branch, an unfusable run, a cycle, or the length
-        cap.  The stitched tail is a *copy* -- the successor run still
-        compiles to its own block for direct entry -- and every
-        per-instruction emission carries its real pc, so faults,
-        overflow exits and detector hooks are indistinguishable from
-        the unstitched blocks.
-        """
-        segments = [(leader, count, terminator)]
-        seen = {leader}
-        total_count = count
-        term = terminator
-        while (term is not None and term.op == 'jmp'
-               and _is_imm(term.a)):
-            nxt = self.runs_map.get(term.a)
-            if nxt is None or term.a in seen \
-                    or total_count + nxt[0] > _TRACE_CAP:
-                break
-            segments.append((term.a, nxt[0], nxt[1]))
-            seen.add(term.a)
-            total_count += nxt[0]
-            term = nxt[1]
-        compiled = self._compile_trace(segments)
-        if compiled is None and len(segments) > 1:
-            # A stitched successor defeated emission; the plain
-            # single-run block may still compile.
-            compiled = self._compile_trace(segments[:1])
-        return compiled
-
-    def _compile_trace(self, segments):
+        """Returns ``(name, source, extra_namespace)`` for the run of
+        ``count`` instructions at ``leader`` and its absorbed
+        ``terminator`` (or None), or None when the run cannot be
+        fused."""
         code = self.interp.code
         cost = self.cost
-        leader = segments[0][0]
-        last_leader, last_count, terminator = segments[-1]
         parts = []
-        pcs = []
-        for seg_index, (seg_leader, seg_count, seg_term) \
-                in enumerate(segments):
-            for offset in range(seg_count):
-                pc = seg_leader + offset
-                emitted = self._emit(code[pc], pc, len(parts), leader)
-                if emitted is None:
-                    return None
-                parts.append(emitted)
-                pcs.append(pc)
-            if seg_index < len(segments) - 1:
-                # Mid-trace absorbed jmp: no code, but it occupies a
-                # retired-instruction position so the fault flush and
-                # partial cycle sums stay index-exact.
-                parts.append(_Emitted([], cost['jmp']))
-                pcs.append(seg_leader + seg_count)
+        for pc in range(leader, leader + count):
+            emitted = self._emit(code[pc], pc, leader)
+            if emitted is None:
+                return None
+            parts.append(emitted)
         retired = len(parts)
         total = sum(part.static for part in parts)
         risky = any(part.risky for part in parts)
@@ -717,23 +700,15 @@ class _BlockCompiler:
             extra[sp_name] = tuple(partials)
             cy_flush = '_cy + %s[_i]' % sp_name if has_cy \
                 else '%s[_i]' % sp_name
-            if len(segments) > 1:
-                # Stitched trace: block position != leader offset past
-                # the first segment, so park pc via a position table.
-                pc_name = '_PC%d' % leader
-                extra[pc_name] = tuple(pcs)
-                fault_pc = '%s[_i]' % pc_name
-            else:
-                fault_pc = '%d + _i' % leader
             src.append('    except _SimFault:')
-            src.append('        core.pc = ' + fault_pc)
+            src.append('        core.pc = %d + _i' % leader)
             src.append('        core.cycles += ' + cy_flush)
             src.append('        core.instret += _i')
             src.append('        raise')
         cy_commit = '_cy + %d' % total if has_cy else '%d' % total
 
         if terminator is not None and terminator.op == 'br':
-            br_pc = last_leader + last_count
+            br_pc = leader + count
             br_name = '_br%d' % br_pc
             extra[br_name] = terminator
             src.append('    _tk = r[%d] != 0' % terminator.a)
@@ -749,7 +724,7 @@ class _BlockCompiler:
             if terminator is not None:           # absorbed jmp
                 next_pc = terminator.a
             else:
-                next_pc = last_leader + last_count
+                next_pc = leader + count
             src.append('    core.pc = %d' % next_pc)
             src.append('    core.cycles += ' + cy_commit)
             src.append('    core.instret += %d' % retired)
@@ -798,8 +773,9 @@ class _BlockCompiler:
             'else:',
             '    _wr(_a, _v)']
 
-    def _emit(self, instr, pc, index, leader):
+    def _emit(self, instr, pc, leader):
         op, a, b, c = instr.op, instr.a, instr.b, instr.c
+        index = pc - leader     # block position: the fault flush's _i
         if instr.pred:
             # Inside a block the predicate register is provably false
             # (the prologue cleared it; no fused instruction sets it),
@@ -1007,7 +983,7 @@ class FastInterpreter(Interpreter):
         # Lazily filled: decoding every address eagerly would penalise
         # short-lived interpreters (one is built per NT-path in the
         # detailed CMP engine).  The sandboxed block table is likewise
-        # only compiled once the first NT-path actually runs.
+        # only built once the first NT-path actually runs.
         self._ops = [None] * self._n
         self._fast = None
         self._fast_nt = None
@@ -1153,11 +1129,18 @@ class FastInterpreter(Interpreter):
         return ops
 
     def _build_fast_table(self, sandboxed=False):
-        """Compile one block table -- taken-path or sandboxed NT-path.
+        """Install one block table -- taken-path or sandboxed NT-path.
 
-        Both variants are compiled from the same CFG partitioning
-        (computed once and cached on ``_runs``); only the store/budget
-        emission differs (see :class:`_BlockCompiler`).
+        Each run leader of the CFG partitioning (computed once and
+        cached on ``_runs``) starts as a counting stub that executes
+        the leader on predecoded dispatch.  After ``_PROMOTE_AFTER``
+        entries the stub compiles its run alone (see
+        :class:`_BlockCompiler`) and replaces itself with the block.
+        Compiled code objects are memoised on the Program under the
+        compiler's variant key, so a later run of the same program and
+        variant promotes each memoised block at its first entry,
+        without codegen; a run that failed to compile is memoised as
+        ``None`` and stays on predecoded dispatch.
         """
         table = [None] * self._n
         if sandboxed:
@@ -1168,25 +1151,8 @@ class FastInterpreter(Interpreter):
         if runs is None:
             runs = self._runs = basic_runs(self.program,
                                            self._block_ops())
-        compiler = _BlockCompiler(
-            self, sandboxed=sandboxed,
-            runs_map={l: (c, t) for l, c, t in runs})
-        sources = []
-        entries = []
-        extras = {}
-        for leader, count, terminator in runs:
-            try:
-                compiled = compiler.compile(leader, count, terminator)
-            except Exception:
-                compiled = None
-            if compiled is None:
-                continue
-            name, src, extra = compiled
-            sources.append(src)
-            entries.append((leader, name))
-            extras.update(extra)
-        if not sources:
-            return table
+        compiler = _BlockCompiler(self, sandboxed=sandboxed)
+        memo = self.program.block_memo.setdefault(compiler.variant, {})
         namespace = {
             '_core': self.core,
             '_interp': self,
@@ -1209,24 +1175,55 @@ class FastInterpreter(Interpreter):
         if self.detector is not None:
             namespace['_dl'] = self.detector.on_load
             namespace['_ds'] = self.detector.on_store
-        namespace.update(extras)
         filename = '<fastblocks%s:%s>' % ('-nt' if sandboxed else '',
                                           self.program.name)
-        try:
-            exec(compile('\n'.join(sources), filename, 'exec'),
-                 namespace)
-            for leader, name in entries:
-                table[leader] = namespace[name]
-            if sandboxed:
-                self.nt_block_count = len(entries)
+
+        def promote(leader, count, terminator):
+            entry = memo.get(leader, _COLD)
+            try:
+                if entry is _COLD:
+                    entry = None
+                    compiled = compiler.compile(leader, count,
+                                                terminator)
+                    if compiled is not None:
+                        name, src, extra = compiled
+                        entry = (compile(src, filename, 'exec'), name,
+                                 extra)
+                if entry is not None:
+                    code, name, extra = entry
+                    namespace.update(extra)
+                    exec(code, namespace)
+                    fn = namespace[name]
+            except Exception:
+                self.block_compile_failed = True
+                entry = None
+            memo[leader] = entry
+            if entry is None:
+                fn = self._ops[leader] or self._decode(leader)
+            elif sandboxed:
+                self.nt_block_count += 1
             else:
-                self.block_count = len(entries)
-        except Exception:
-            # Automatic fallback: run on predecoded dispatch only.
-            self.block_compile_failed = True
-            table = [None] * self._n
-            if sandboxed:
-                self._fast_nt = table
-            else:
-                self._fast = table
+                self.block_count += 1
+            table[leader] = fn
+            return fn
+
+        for leader, count, terminator in runs:
+            entry = memo.get(leader, _COLD)
+            if entry is not None:
+                table[leader] = self._stub(
+                    promote, leader, count, terminator,
+                    _PROMOTE_AFTER if entry is _COLD else 1)
         return table
+
+    def _stub(self, promote, leader, count, terminator, entries):
+        """A leader's table entry until its block is promoted: counts
+        ``entries`` down, executing the leader singly meanwhile."""
+        step_at = self._step_at
+
+        def stub():
+            nonlocal entries
+            entries -= 1
+            if entries <= 0:
+                return promote(leader, count, terminator)()
+            return step_at(leader)
+        return stub

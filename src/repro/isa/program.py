@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 
-
 class BranchEdge:
     """One of the two edges of a conditional branch.
 
@@ -61,6 +60,10 @@ class Program:
         branch_edges: every conditional-branch edge in the program; the
             denominator of the branch-coverage metric.
         source_map: address -> human-readable location string.
+        block_memo: the fast backend's compiled block code for this
+            program, ``{variant key: {leader: entry}}`` (see
+            :mod:`repro.cpu.fastinterp`); it lives and dies with the
+            program.
     """
 
     def __init__(self, code, functions, entry, globals_size,
@@ -78,6 +81,7 @@ class Program:
         self.branch_edges = self._collect_edges()
         self.num_branches = sum(
             1 for instr in code if instr.op == 'br')
+        self.block_memo = {}
 
     def _collect_edges(self):
         edges = []

@@ -104,14 +104,15 @@ class JobPool:
         """
         specs = list(specs)
         start = time.perf_counter()
-        evictions_before = self.store.corrupt_evictions if self.store \
-            else 0
+        evictions_before = self.store.corrupt_evictions \
+            if self.store is not None else 0
         self.quarantined = []
         results = [None] * len(specs)
         pending = []
         for index, spec in enumerate(specs):
             self.metrics.incr('jobs_submitted')
-            record = self.store.get(spec.key) if self.store else None
+            record = self.store.get(spec.key) \
+                if self.store is not None else None
             if record is not None:
                 try:
                     results[index] = \

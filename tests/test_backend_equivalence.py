@@ -10,6 +10,12 @@ Runs are capped with ``max_instructions``, which doubles as a test of
 the truncation contract: a fused block refuses to overshoot the budget,
 so both backends must stop at exactly the same instruction.  A separate
 uncapped test checks natural program exit.
+
+Results must not depend on when, or whether, the fast backend compiles
+a block: every case runs at three promotion thresholds (compile on
+first entry, the default, never) and, at each, twice on the same
+Program -- a cold run that fills the Program's block memo and a warm
+run served from it.
 """
 
 from __future__ import annotations
@@ -19,6 +25,12 @@ import pytest
 from repro.apps.registry import ALL_APPS, get_app
 from repro.core.config import Mode
 from repro.core.runner import make_detector, run_program
+import repro.cpu.fastinterp as fastinterp
+
+# Block promotion thresholds (fastinterp._PROMOTE_AFTER).
+_THRESHOLDS = {'first_entry': 1,
+               'default': fastinterp._PROMOTE_AFTER,
+               'never': float('inf')}
 
 # Large enough to reach steady state (and NT-path spawning) in every
 # app, small enough to keep the full matrix fast.
@@ -41,17 +53,29 @@ def _run(app, program, mode, detector_name, backend, **overrides):
     return result.to_dict()
 
 
-@pytest.mark.parametrize('mode', Mode.ALL)
-@pytest.mark.parametrize('app_name', sorted(ALL_APPS))
-def test_backends_agree(app_name, mode):
+def _assert_agree(monkeypatch, app_name, mode, **overrides):
+    """Fast == reference for every detector, at every threshold, on a
+    cold and then a warm block memo."""
     app = get_app(app_name)
     program = _program(app_name)
     for detector_name in ('none',) + tuple(app.tools):
         reference = _run(app, program, mode, detector_name, 'reference',
-                         max_instructions=_INSTR_CAP)
-        fast = _run(app, program, mode, detector_name, 'fast',
-                    max_instructions=_INSTR_CAP)
-        assert fast == reference, (app_name, mode, detector_name)
+                         **overrides)
+        for threshold, after in sorted(_THRESHOLDS.items()):
+            monkeypatch.setattr(fastinterp, '_PROMOTE_AFTER', after)
+            program.block_memo.clear()
+            for memo in ('cold', 'warm'):
+                fast = _run(app, program, mode, detector_name, 'fast',
+                            **overrides)
+                assert fast == reference, (app_name, mode, detector_name,
+                                           threshold, memo)
+
+
+@pytest.mark.parametrize('mode', Mode.ALL)
+@pytest.mark.parametrize('app_name', sorted(ALL_APPS))
+def test_backends_agree(app_name, mode, monkeypatch):
+    _assert_agree(monkeypatch, app_name, mode,
+                  max_instructions=_INSTR_CAP)
 
 
 # NT-path policy extensions change what executes inside the sandbox
@@ -68,28 +92,17 @@ _NT_POLICY_OVERRIDES = {
 @pytest.mark.parametrize('policy', sorted(_NT_POLICY_OVERRIDES))
 @pytest.mark.parametrize('mode', (Mode.STANDARD, Mode.CMP))
 @pytest.mark.parametrize('app_name', sorted(ALL_APPS))
-def test_backends_agree_nt_policies(app_name, mode, policy):
-    app = get_app(app_name)
-    program = _program(app_name)
-    overrides = _NT_POLICY_OVERRIDES[policy]
-    for detector_name in ('none',) + tuple(app.tools):
-        reference = _run(app, program, mode, detector_name, 'reference',
-                         max_instructions=_INSTR_CAP, **overrides)
-        fast = _run(app, program, mode, detector_name, 'fast',
-                    max_instructions=_INSTR_CAP, **overrides)
-        assert fast == reference, (app_name, mode, detector_name,
-                                   policy)
+def test_backends_agree_nt_policies(app_name, mode, policy,
+                                    monkeypatch):
+    _assert_agree(monkeypatch, app_name, mode,
+                  max_instructions=_INSTR_CAP,
+                  **_NT_POLICY_OVERRIDES[policy])
 
 
 @pytest.mark.parametrize('mode', Mode.ALL)
-def test_backends_agree_uncapped(mode):
+def test_backends_agree_uncapped(mode, monkeypatch):
     """Natural program exit (no truncation) on a small app."""
-    app = get_app('schedule')
-    program = _program('schedule')
-    for detector_name in ('none',) + tuple(app.tools):
-        reference = _run(app, program, mode, detector_name, 'reference')
-        fast = _run(app, program, mode, detector_name, 'fast')
-        assert fast == reference, (mode, detector_name)
+    _assert_agree(monkeypatch, 'schedule', mode)
 
 
 def test_capped_matrix_exercises_truncation():

@@ -8,15 +8,20 @@ consistent.  This is the strongest form of the paper's transparency
 requirement.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import Mode, PathExpanderConfig
 from repro.core.runner import run_detailed_cmp, run_program
+import repro.cpu.fastinterp as fastinterp
 from repro.minic.codegen import compile_minic
 
 _SETTINGS = settings(max_examples=25, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
+
+# Block promotion thresholds: compile on first entry, the default, never.
+_THRESHOLDS = (1, fastinterp._PROMOTE_AFTER, float('inf'))
 
 _VARS = ('a', 'b', 'c')
 
@@ -114,19 +119,29 @@ class TestDifferentialFuzz:
 class TestBackendFuzz:
     """Property form of the dual-backend equivalence invariant
     (DESIGN.md): for random programs, the fast backend's RunResult is
-    byte-identical to the reference backend's in every mode."""
+    byte-identical to the reference backend's in every mode, whenever
+    (or whether) its blocks are compiled: at each block promotion
+    threshold, on a cold and then a warm block memo."""
 
     @_SETTINGS
     @given(_PROGRAM, st.integers(0, 100), st.integers(0, 100))
     def test_backends_identical_in_every_mode(self, source, a, b):
         program = compile_minic(source, name='fuzz_backend')
         for mode in Mode.ALL:
-            payloads = {}
-            for backend in ('reference', 'fast'):
-                result = run_program(
-                    program, detector='ccured',
-                    config=PathExpanderConfig(mode=mode,
-                                              backend=backend),
-                    int_input=[a, b])
-                payloads[backend] = result.to_dict()
-            assert payloads['fast'] == payloads['reference'], mode
+            reference = self._run(program, mode, 'reference', a, b)
+            for threshold in _THRESHOLDS:
+                program.block_memo.clear()
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(fastinterp, '_PROMOTE_AFTER',
+                                  threshold)
+                    for memo in ('cold', 'warm'):
+                        fast = self._run(program, mode, 'fast', a, b)
+                        assert fast == reference, (mode, threshold,
+                                                   memo)
+
+    @staticmethod
+    def _run(program, mode, backend, a, b):
+        return run_program(
+            program, detector='ccured',
+            config=PathExpanderConfig(mode=mode, backend=backend),
+            int_input=[a, b]).to_dict()

@@ -4,7 +4,8 @@ The system-level guarantee (byte-identical results on real apps) lives
 in ``test_backend_equivalence.py``; this file pins down the individual
 mechanisms: predecode coverage, block fusion, budget-aware truncation,
 mid-block fault flushing, predicated handling, the out-of-range-PC
-quirk, and every fallback path.
+quirk, every fallback path, tiered promotion and the per-Program code
+memo.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.core.config import (BACKEND_CHOICES, PathExpanderConfig,
 from repro.core.engine import PathExpanderEngine
 from repro.core.runner import run_program
 import repro.cpu.backend as backend_mod
+import repro.cpu.fastinterp as fastinterp
 from repro.cpu.backend import make_interpreter
 from repro.cpu.fastinterp import FastInterpreter, _BlockCompiler
 from repro.cpu.interpreter import Interpreter
@@ -44,6 +46,13 @@ def _run_both(program, mode='baseline', detector='none', **overrides):
 def _engine(program, mode='baseline', **overrides):
     config = PathExpanderConfig(mode=mode, backend='fast', **overrides)
     return PathExpanderEngine(program, config=config)
+
+
+@pytest.fixture
+def promote_at_once(monkeypatch):
+    """Compile every block on its first entry, so even short test
+    programs run on fused blocks."""
+    monkeypatch.setattr(fastinterp, '_PROMOTE_AFTER', 1)
 
 
 def _alu_block_program(pad=6):
@@ -111,6 +120,7 @@ class TestOpcodeClosures:
             assert quotient * divisor + remainder == dividend
 
 
+@pytest.mark.usefixtures('promote_at_once')
 class TestBlockFusion:
     def test_blocks_are_compiled_and_used(self):
         engine = _engine(_alu_block_program())
@@ -188,6 +198,7 @@ def _nt_program(nt_body, trips=6):
     return _prog(code)
 
 
+@pytest.mark.usefixtures('promote_at_once')
 class TestNTBlocks:
     """The sandboxed block table: NT-paths executed through fused
     closures must be indistinguishable from reference stepping."""
@@ -261,6 +272,82 @@ class TestNTBlocks:
         assert fast.result.nt_store_count > 0
         assert fast.memory.cells == reference.memory.cells
         assert len(fast.memory.nt_journal) == 0
+
+
+def _memory_block_program():
+    """A loop of fused loads and stores, so detector and cache hooks
+    are part of its blocks."""
+    code = [Instr('li', 1, 0), Instr('li', 2, 0), Instr('li', 5, 9),
+            Instr('ld', 3, 1, 16), Instr('add', 2, 2, 3),
+            Instr('addi', 3, 3, 1), Instr('st', 3, 1, 17),
+            Instr('addi', 1, 1, 1), Instr('slt', 4, 1, 5),
+            Instr('br', 4, 3),
+            Instr('mov', Reg.A1, 2),
+            Instr('syscall', Syscall.PRINT_INT),
+            Instr('halt')]
+    return _prog(code)
+
+
+@pytest.mark.usefixtures('promote_at_once')
+class TestBlockMemo:
+    """Compiled block code is memoised on the Program: a second run
+    reuses it, and every variant of the generated code gets its own
+    entries."""
+
+    def test_second_run_compiles_nothing(self, monkeypatch):
+        calls = []
+
+        def counting_compile(*args):
+            calls.append(args[1])
+            return compile(*args)
+        monkeypatch.setattr(fastinterp, 'compile', counting_compile,
+                            raising=False)
+        program = _memory_block_program()
+        first = _run_both(program, mode='standard', detector='ccured')
+        assert calls
+        assert program.block_memo
+        del calls[:]
+        second = _run_both(program, mode='standard', detector='ccured')
+        assert calls == []
+        assert second == first
+
+    def test_memo_hits_install_blocks(self, monkeypatch):
+        program = _memory_block_program()
+        _engine(program).run()
+        # A warm memo promotes at first entry whatever the threshold.
+        monkeypatch.setattr(fastinterp, '_PROMOTE_AFTER', float('inf'))
+        engine = _engine(program)
+        engine.run()
+        assert engine.interp.block_count > 0
+
+    def test_variants_get_distinct_entries(self):
+        program = _memory_block_program()
+        variants = set()
+        for detector, cache in (('none', True), ('ccured', True),
+                                ('ccured', False)):
+            _run_both(program, mode='standard', detector=detector,
+                      enable_cache_model=cache)
+            assert set(program.block_memo) > variants
+            variants = set(program.block_memo)
+        # Each run used a taken-path and a sandboxed variant.
+        assert len(variants) == 6
+
+    def test_failed_compile_is_memoised(self, monkeypatch):
+        good_compile = _BlockCompiler.compile
+
+        def bad_compile(self, leader, count, terminator):
+            return '_bad%d' % leader, 'def _bad%d(:\n' % leader, {}
+        monkeypatch.setattr(_BlockCompiler, 'compile', bad_compile)
+        program = _alu_block_program()
+        _engine(program).run()
+        entries = [entry for variant in program.block_memo.values()
+                   for entry in variant.values()]
+        assert entries and all(entry is None for entry in entries)
+        monkeypatch.setattr(_BlockCompiler, 'compile', good_compile)
+        engine = _engine(program)
+        engine.run()
+        assert engine.interp.block_count == 0
+        assert not engine.interp.block_compile_failed
 
 
 class TestDispatchEdges:

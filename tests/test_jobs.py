@@ -189,6 +189,26 @@ class TestJobPool:
         assert warm.metrics.cache_hits == 1
         assert second.to_dict() == first.to_dict()
 
+    def test_store_is_never_tested_for_truth(self, tmp_path,
+                                             monkeypatch):
+        # ResultStore.__len__ walks every shard: the pool must look a
+        # store up per spec without ever sizing it, empty or not.
+        def no_len(store):
+            raise AssertionError('ResultStore.__len__ called')
+        monkeypatch.setattr(ResultStore, '__len__', no_len)
+        store = ResultStore(tmp_path)
+        specs = [tiny_spec(n) for n in (1, 5)]
+        cold = JobPool(jobs=1, store=store)
+        first = cold.run(specs)
+        assert cold.metrics.jobs_run == 2
+        assert cold.metrics.cache_misses == 2
+        warm = JobPool(jobs=1, store=store)
+        second = warm.run(specs)
+        assert warm.metrics.jobs_run == 0
+        assert warm.metrics.cache_hits == 2
+        assert [r.to_dict() for r in second] \
+            == [r.to_dict() for r in first]
+
     def test_corrupt_cache_record_reruns_job(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = tiny_spec()
