@@ -174,8 +174,8 @@ class DetailedCmpEngine:
         self.primary = Core(core_id=0)
         self.primary.reset(program.entry, self.memory.stack_top)
         # Cycle interleaving with NT contexts needs per-instruction
-        # stepping, so only the backends' predecoded ``step`` is used
-        # here -- never fused blocks.
+        # stepping, so only ``step`` is used here -- never fused
+        # blocks.  Both backends share the reference ``step``.
         self.backend = cfg.resolved_backend
         self.primary_interp = make_interpreter(
             self.backend, program, self._taken_view, self.allocator,

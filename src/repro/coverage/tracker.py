@@ -42,7 +42,7 @@ class CoverageTracker:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _decode(keys):
+    def _unpack(keys):
         return {(key >> 1, bool(key & 1)) for key in keys}
 
     def edge_sets(self):
@@ -51,8 +51,8 @@ class CoverageTracker:
         Computes the taken set and the taken|NT union exactly once;
         finalize code should consume both from this single call.
         """
-        taken = self._decode(self._taken)
-        covered = taken | self._decode(self._nt)
+        taken = self._unpack(self._taken)
+        covered = taken | self._unpack(self._nt)
         return taken, covered
 
     @property
@@ -78,15 +78,15 @@ class CoverageTracker:
 
     @property
     def covered_edge_keys(self):
-        return self._decode(self._taken | self._nt)
+        return self._unpack(self._taken | self._nt)
 
     @property
     def taken_edge_keys(self):
-        return self._decode(self._taken)
+        return self._unpack(self._taken)
 
     def merge_into(self, cumulative):
         """Union this run's edges into a :class:`CumulativeCoverage`."""
-        cumulative.add(self._decode(self._taken), self._decode(self._nt))
+        cumulative.add(self._unpack(self._taken), self._unpack(self._nt))
 
 
 class CumulativeCoverage:

@@ -8,9 +8,9 @@ Two interchangeable backends execute programs (see DESIGN.md,
     dispatch per instruction.  The semantic ground truth.
 
 ``fast``
-    :class:`~repro.cpu.fastinterp.FastInterpreter` -- predecoded
-    per-instruction closures plus fused basic-block closures, compiled
-    in two tiers: a taken-path block table and a *sandboxed* NT-path
+    :class:`~repro.cpu.fastinterp.FastInterpreter` -- the reference
+    ``step`` for non-block code plus fused basic-block closures, in
+    two tables: a taken-path block table and a *sandboxed* NT-path
     table whose stores route through the active memory journal and
     honour the volatile-overflow exit and the NT length budget.  Must
     be byte-identical to the reference on every observable

@@ -1,29 +1,26 @@
-"""Fast execution backend: predecoded dispatch + basic-block closures.
+"""Fast execution backend: the reference step plus compiled blocks.
 
-Two mechanisms, layered on the reference :class:`Interpreter`:
+Layered on the reference :class:`Interpreter`, whose ``step`` it
+inherits unchanged.  Every opcode is therefore defined twice: once in
+``Interpreter.step`` (the oracle) and once in the
+:class:`_BlockCompiler` emitters.
 
-1. **Predecode.** The first time an address executes, its instruction
-   is lowered into a specialized Python closure with the operands, the
-   immediate, the next PC, and the static cycle cost bound at decode
-   time.  ``step()`` then becomes one list index and one call -- no
-   opcode string comparison chain, no per-step cost lookup.
-
-2. **Tiered basic-block compilation.** Straight-line runs (see
-   :func:`repro.isa.cfg.basic_runs`) can be compiled into a single
-   closure that executes the whole run in one call and retires its
-   cycles/instret in one update.  ``step_fast()`` dispatches through a
-   block table that starts with a cheap counting stub at each run
-   leader; the stub executes the leader on predecoded dispatch and,
-   after ``_PROMOTE_AFTER`` entries, compiles *that run alone* (one
-   small generated source, one ``compile()``), runs it with ``exec``
-   in the table's namespace and replaces itself with the block.  The
-   taken table and the sandboxed NT-path table promote independently.
-   Compiled code objects are memoised on the :class:`Program`
-   (``Program.block_memo``), keyed by the :class:`_BlockCompiler`
-   variant key and the leader, so each later run of the same program
-   and variant installs a memoised block at its first entry without
-   codegen; a run that fails to compile is memoised as "stay
-   predecoded".  The memo lives and dies with its Program.
+**Tiered basic-block compilation.** Straight-line runs (see
+:func:`repro.isa.cfg.basic_runs`) can be compiled into a single
+closure that executes the whole run in one call and retires its
+cycles/instret in one update.  ``step_fast()`` and ``drive_taken()``
+dispatch through a block table that starts with a cheap counting stub
+at each run leader; the stub executes the leader on the reference
+``step`` and, after ``_PROMOTE_AFTER`` entries, compiles *that run
+alone* (one small generated source, one ``compile()``), runs it with
+``exec`` in the table's namespace and replaces itself with the block.
+The taken table and the sandboxed NT-path table promote independently.
+Compiled code objects are memoised on the :class:`Program`
+(``Program.block_memo``), keyed by the :class:`_BlockCompiler` variant
+key and the leader, so each later run of the same program and variant
+installs a memoised block at its first entry without codegen; a run
+that fails to compile is memoised as "stay on the reference step".
+The memo lives and dies with its Program.
 
 Results never depend on when, or whether, a block is compiled or
 memoised: a stub and the block that replaces it execute the same
@@ -41,7 +38,8 @@ equivalence invariant"):
 * a block refuses to run when it would cross the interpreter's
   ``instret_limit`` (``max_instructions`` on the taken path, the
   NT-path length budget inside the sandbox -- see ``enter_nt``) and
-  executes one instruction instead, so truncation points match;
+  executes one instruction on the reference step instead, so
+  truncation points match;
 * inside NT-paths ``step_fast`` dispatches through a second,
   *sandboxed* block table compiled from the same CFG partitioning:
   stores check L1 volatile overflow (flushing the completed prefix and
@@ -50,16 +48,18 @@ equivalence invariant"):
   carve-out inlined; everything that can terminate a path
   (``syscall``/``malloc``/``free``, predicated execution) is never
   fused and reaches the reference semantics per instruction;
-* anything exotic (predicated instructions, ``malloc``/``free``,
-  out-of-range PCs) falls back to the inherited reference ``step``.
+* every table slot without a stub or block -- cold code outside any
+  fused run, ``call``/``ret``/``syscall``/``malloc``/``free``/``halt``,
+  a run whose compile failed -- and every out-of-range PC runs the
+  reference ``step``.
 
 Every fallback is automatic and per-address; a program that defeats
-the block compiler entirely still runs, just on predecoded dispatch.
+the block compiler entirely still runs, just on the reference step.
 """
 
 from __future__ import annotations
 
-from repro.cpu.exceptions import FaultKind, ProgramExit, SimFault
+from repro.cpu.exceptions import FaultKind, SimFault
 from repro.cpu.interpreter import Interpreter
 from repro.cpu.timing import PREDICATED_SKIP_COST
 from repro.isa.cfg import BLOCK_OPS, basic_runs
@@ -67,7 +67,6 @@ from repro.isa.instructions import Reg
 from repro.memory.main_memory import NULL_GUARD, MainMemory
 from repro.resilience import site_hook
 
-_SHIFT_MASK = 63
 _SP = Reg.SP
 
 # Entries into a run leader before its block is compiled (tier-up).
@@ -88,433 +87,6 @@ def _is_reg(value):
 
 def _is_imm(value):
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-# ======================================================================
-# per-instruction closure factories (predecode)
-#
-# Each factory returns a zero-argument closure reproducing one arm of
-# Interpreter.step for one specific (pc, instr).  Mutable interpreter
-# state that the engines swap mid-run (cache, cache_version,
-# in_nt_path, on_branch, sandbox_unsafe, store_count) is read through
-# ``interp`` at call time; everything fixed for the interpreter's
-# lifetime (core, memory, detector, costs) is bound at decode time.
-
-
-def _dec_li(interp, pc, instr, cost):
-    core, a, imm, npc = interp.core, instr.a, instr.b, pc + 1
-
-    def op_li():
-        if core.pred:
-            core.pred = False
-        core.regs[a] = imm
-        core.pc = npc
-        core.cycles += cost
-        core.instret += 1
-    return op_li
-
-
-def _dec_mov(interp, pc, instr, cost):
-    core, a, b, npc = interp.core, instr.a, instr.b, pc + 1
-
-    def op_mov():
-        if core.pred:
-            core.pred = False
-        regs = core.regs
-        regs[a] = regs[b]
-        core.pc = npc
-        core.cycles += cost
-        core.instret += 1
-    return op_mov
-
-
-def _dec_addi(interp, pc, instr, cost):
-    core, a, b, imm, npc = interp.core, instr.a, instr.b, instr.c, pc + 1
-    if a != _SP:
-        def op_addi():
-            if core.pred:
-                core.pred = False
-            regs = core.regs
-            regs[a] = regs[b] + imm
-            core.pc = npc
-            core.cycles += cost
-            core.instret += 1
-        return op_addi
-
-    stack_limit = interp.memory.stack_limit
-
-    def op_addi_sp():
-        if core.pred:
-            core.pred = False
-        regs = core.regs
-        value = regs[b] + imm
-        regs[a] = value
-        if value < stack_limit:
-            raise SimFault(FaultKind.STACK_OVERFLOW, 'sp=%d' % value)
-        core.pc = npc
-        core.cycles += cost
-        core.instret += 1
-    return op_addi_sp
-
-
-def _make_alu(combine):
-    def factory(interp, pc, instr, cost):
-        core, a, b, c, npc = (interp.core, instr.a, instr.b, instr.c,
-                              pc + 1)
-
-        def op_alu():
-            if core.pred:
-                core.pred = False
-            regs = core.regs
-            regs[a] = combine(regs[b], regs[c])
-            core.pc = npc
-            core.cycles += cost
-            core.instret += 1
-        return op_alu
-    return factory
-
-
-def _make_cmp(test):
-    def factory(interp, pc, instr, cost):
-        core, a, b, c, npc = (interp.core, instr.a, instr.b, instr.c,
-                              pc + 1)
-
-        def op_cmp():
-            if core.pred:
-                core.pred = False
-            regs = core.regs
-            regs[a] = 1 if test(regs[b], regs[c]) else 0
-            core.pc = npc
-            core.cycles += cost
-            core.instret += 1
-        return op_cmp
-    return factory
-
-
-def _dec_div(interp, pc, instr, cost):
-    core, a, b, c, npc = interp.core, instr.a, instr.b, instr.c, pc + 1
-
-    def op_div():
-        if core.pred:
-            core.pred = False
-        regs = core.regs
-        divisor = regs[c]
-        if divisor == 0:
-            raise SimFault(FaultKind.DIV_ZERO, 'pc=%d' % pc)
-        value = regs[b]
-        quotient = abs(value) // abs(divisor)
-        if (value < 0) != (divisor < 0):
-            quotient = -quotient
-        regs[a] = quotient
-        core.pc = npc
-        core.cycles += cost
-        core.instret += 1
-    return op_div
-
-
-def _dec_mod(interp, pc, instr, cost):
-    core, a, b, c, npc = interp.core, instr.a, instr.b, instr.c, pc + 1
-
-    def op_mod():
-        if core.pred:
-            core.pred = False
-        regs = core.regs
-        divisor = regs[c]
-        if divisor == 0:
-            raise SimFault(FaultKind.DIV_ZERO, 'pc=%d' % pc)
-        value = regs[b]
-        remainder = abs(value) % abs(divisor)
-        regs[a] = -remainder if value < 0 else remainder
-        core.pc = npc
-        core.cycles += cost
-        core.instret += 1
-    return op_mod
-
-
-def _dec_ld(interp, pc, instr, cost):
-    core, a, b, off, npc = interp.core, instr.a, instr.b, instr.c, pc + 1
-    mem = interp.memory
-    mem_read = mem.read
-    det = interp.detector
-    l1_hit = interp.costs.l1_hit
-    if type(mem) is MainMemory:
-        cells, msize = mem.cells, mem.size
-
-        def read(addr):
-            if addr < NULL_GUARD or addr >= msize:
-                mem_read(addr)      # raises the exact reference fault
-            return cells[addr]
-    else:
-        read = mem_read
-
-    def op_ld():
-        if core.pred:
-            core.pred = False
-        regs = core.regs
-        addr = regs[b] + off
-        value = read(addr)
-        regs[a] = value
-        cycles = cost
-        cache = interp.cache
-        if cache is not None:
-            cycles += cache.access(addr, False, interp.cache_version) \
-                .cycles
-        else:
-            cycles += l1_hit
-        if det is not None:
-            cycles += det.on_load(addr, value, interp)
-        core.pc = npc
-        core.cycles += cycles
-        core.instret += 1
-        return None
-    return op_ld
-
-
-def _dec_st(interp, pc, instr, cost):
-    core, a, b, off, npc = interp.core, instr.a, instr.b, instr.c, pc + 1
-    mem_write = interp.memory.write
-    det = interp.detector
-    l1_hit = interp.costs.l1_hit
-
-    def op_st():
-        if core.pred:
-            core.pred = False
-        regs = core.regs
-        addr = regs[b] + off
-        value = regs[a]
-        interp.store_count += 1
-        cycles = cost
-        cache = interp.cache
-        if cache is not None:
-            result = cache.access(addr, True, interp.cache_version)
-            cycles += result.cycles
-            if result.volatile_overflow and interp.in_nt_path:
-                core.cycles += cycles
-                return 'overflow'
-        else:
-            cycles += l1_hit
-        mem_write(addr, value)
-        if det is not None:
-            cycles += det.on_store(addr, value, interp)
-        core.pc = npc
-        core.cycles += cycles
-        core.instret += 1
-        return None
-    return op_st
-
-
-def _dec_br(interp, pc, instr, cost):
-    core, a, target, npc = interp.core, instr.a, instr.b, pc + 1
-
-    def op_br():
-        if core.pred:
-            core.pred = False
-        taken = core.regs[a] != 0
-        core.pc = target if taken else npc
-        core.cycles += cost
-        core.instret += 1
-        on_branch = interp.on_branch
-        if on_branch is not None:
-            on_branch(pc, taken, instr)
-        return None
-    return op_br
-
-
-def _dec_jmp(interp, pc, instr, cost):
-    core, target = interp.core, instr.a
-
-    def op_jmp():
-        if core.pred:
-            core.pred = False
-        core.pc = target
-        core.cycles += cost
-        core.instret += 1
-    return op_jmp
-
-
-def _dec_call(interp, pc, instr, cost):
-    core, target, ret_to = interp.core, instr.a, pc + 1
-    mem_write = interp.memory.write
-    stack_limit = interp.memory.stack_limit
-
-    def op_call():
-        if core.pred:
-            core.pred = False
-        if core.call_depth >= core.MAX_CALL_DEPTH:
-            raise SimFault(FaultKind.CALL_DEPTH, 'pc=%d' % pc)
-        regs = core.regs
-        sp = regs[_SP] - 1
-        if sp < stack_limit:
-            raise SimFault(FaultKind.STACK_OVERFLOW, 'sp=%d' % sp)
-        regs[_SP] = sp
-        mem_write(sp, ret_to)
-        core.call_depth += 1
-        core.pc = target
-        core.cycles += cost
-        core.instret += 1
-    return op_call
-
-
-def _dec_ret(interp, pc, instr, cost):
-    core = interp.core
-    mem_read = interp.memory.read
-
-    def op_ret():
-        if core.pred:
-            core.pred = False
-        regs = core.regs
-        sp = regs[_SP]
-        core.pc = mem_read(sp)
-        regs[_SP] = sp + 1
-        core.call_depth -= 1
-        core.cycles += cost
-        core.instret += 1
-    return op_ret
-
-
-def _dec_push(interp, pc, instr, cost):
-    core, a, npc = interp.core, instr.a, pc + 1
-    mem_write = interp.memory.write
-    stack_limit = interp.memory.stack_limit
-
-    def op_push():
-        if core.pred:
-            core.pred = False
-        regs = core.regs
-        sp = regs[_SP] - 1
-        if sp < stack_limit:
-            raise SimFault(FaultKind.STACK_OVERFLOW, 'sp=%d' % sp)
-        regs[_SP] = sp
-        mem_write(sp, regs[a])
-        core.pc = npc
-        core.cycles += cost
-        core.instret += 1
-    return op_push
-
-
-def _dec_pop(interp, pc, instr, cost):
-    core, a, npc = interp.core, instr.a, pc + 1
-    mem_read = interp.memory.read
-
-    def op_pop():
-        if core.pred:
-            core.pred = False
-        regs = core.regs
-        sp = regs[_SP]
-        regs[a] = mem_read(sp)
-        regs[_SP] = sp + 1
-        core.pc = npc
-        core.cycles += cost
-        core.instret += 1
-    return op_pop
-
-
-def _dec_syscall(interp, pc, instr, cost):
-    core, code = interp.core, instr.a
-
-    def op_syscall():
-        if core.pred:
-            core.pred = False
-        if interp.in_nt_path and not interp.sandbox_unsafe:
-            # Unsafe event: do not perform; the engine squashes.
-            return 'unsafe'
-        event = interp._do_syscall(code, core.regs)
-        core.cycles += cost
-        core.instret += 1
-        return event
-    return op_syscall
-
-
-def _dec_assert(interp, pc, instr, cost):
-    core, a, assert_id, npc = interp.core, instr.a, instr.b, pc + 1
-    det = interp.detector
-
-    def op_assert():
-        if core.pred:
-            core.pred = False
-        cycles = cost
-        if core.regs[a] == 0 and det is not None:
-            cycles += det.on_assert_fail(assert_id, pc, interp)
-        core.pc = npc
-        core.cycles += cycles
-        core.instret += 1
-    return op_assert
-
-
-def _dec_halt(interp, pc, instr, cost):
-    core = interp.core
-
-    def op_halt():
-        if core.pred:
-            core.pred = False
-        raise ProgramExit(0)
-    return op_halt
-
-
-def _dec_nop(interp, pc, instr, cost):
-    core, npc = interp.core, pc + 1
-
-    def op_nop():
-        if core.pred:
-            core.pred = False
-        core.pc = npc
-        core.cycles += cost
-        core.instret += 1
-    return op_nop
-
-
-def _dec_predicated(interp, pc, instr, cost):
-    """Predicated instructions: a fast path for the overwhelmingly
-    common skip (core.pred false outside NT-entries), deferring actual
-    predicated *execution* to the fully general reference step."""
-    core, npc = interp.core, pc + 1
-    ref_step = Interpreter.step
-
-    def op_predicated():
-        if not core.pred:
-            core.pc = npc
-            core.cycles += PREDICATED_SKIP_COST
-            core.instret += 1
-            return None
-        return ref_step(interp)
-    return op_predicated
-
-
-_DECODERS = {
-    'li': _dec_li,
-    'mov': _dec_mov,
-    'addi': _dec_addi,
-    'add': _make_alu(lambda x, y: x + y),
-    'sub': _make_alu(lambda x, y: x - y),
-    'mul': _make_alu(lambda x, y: x * y),
-    'and': _make_alu(lambda x, y: x & y),
-    'or': _make_alu(lambda x, y: x | y),
-    'xor': _make_alu(lambda x, y: x ^ y),
-    'shl': _make_alu(lambda x, y: x << (y & _SHIFT_MASK)),
-    'shr': _make_alu(lambda x, y: x >> (y & _SHIFT_MASK)),
-    'slt': _make_cmp(lambda x, y: x < y),
-    'sle': _make_cmp(lambda x, y: x <= y),
-    'seq': _make_cmp(lambda x, y: x == y),
-    'sne': _make_cmp(lambda x, y: x != y),
-    'sgt': _make_cmp(lambda x, y: x > y),
-    'sge': _make_cmp(lambda x, y: x >= y),
-    'div': _dec_div,
-    'mod': _dec_mod,
-    'ld': _dec_ld,
-    'st': _dec_st,
-    'br': _dec_br,
-    'jmp': _dec_jmp,
-    'call': _dec_call,
-    'ret': _dec_ret,
-    'push': _dec_push,
-    'pop': _dec_pop,
-    'syscall': _dec_syscall,
-    'assert': _dec_assert,
-    'halt': _dec_halt,
-    'nop': _dec_nop,
-    # 'malloc'/'free' intentionally absent: allocator-dominated and
-    # rare, they run through the inherited reference step.
-}
 
 
 # ======================================================================
@@ -658,7 +230,7 @@ class _BlockCompiler:
             '    core = _core',
             '    if core.instret + %d > _interp.instret_limit:'
             % retired,
-            '        return _fb(%d)' % leader,
+            '        return _fb()',
         ]
         if code[leader].pred:
             # A predicated leader with the predicate set must *execute*
@@ -666,7 +238,7 @@ class _BlockCompiler:
             # predicate clear (the steady state), it is a skip like any
             # other predicated instruction in the block.
             src.append('    if core.pred:')
-            src.append('        return _fb(%d)' % leader)
+            src.append('        return _fb()')
         else:
             src.append('    if core.pred:')
             src.append('        core.pred = False')
@@ -968,9 +540,13 @@ class _BlockCompiler:
 
 
 class FastInterpreter(Interpreter):
-    """Drop-in replacement for :class:`Interpreter` (same contract)."""
+    """Drop-in replacement for :class:`Interpreter` (same contract).
 
-    __slots__ = ('_n', '_ops', '_fast', '_fast_nt', '_runs', '_ref_thunk',
+    ``step`` is the inherited reference step; only ``step_fast`` and
+    ``drive_taken`` differ, dispatching through the block tables.
+    """
+
+    __slots__ = ('_n', '_fast', '_fast_nt', '_runs',
                  'block_compile_failed', 'block_count', 'nt_block_count',
                  '_fault_hook')
 
@@ -980,15 +556,13 @@ class FastInterpreter(Interpreter):
                          cache=cache, detector=detector,
                          on_branch=on_branch)
         self._n = len(self.code)
-        # Lazily filled: decoding every address eagerly would penalise
-        # short-lived interpreters (one is built per NT-path in the
-        # detailed CMP engine).  The sandboxed block table is likewise
-        # only built once the first NT-path actually runs.
-        self._ops = [None] * self._n
+        # Built lazily: short-lived interpreters (one per NT-path in
+        # the detailed CMP engine, which only calls ``step``) never
+        # build a table, and the sandboxed table waits for the first
+        # NT-path.
         self._fast = None
         self._fast_nt = None
         self._runs = None
-        self._ref_thunk = None
         self.block_compile_failed = False
         self.block_count = 0
         self.nt_block_count = 0
@@ -999,18 +573,9 @@ class FastInterpreter(Interpreter):
 
     # ------------------------------------------------------------------
     # dispatch
-
-    def step(self):
-        """Execute one instruction through the predecoded table."""
-        pc = self.core.pc
-        if 0 <= pc < self._n:
-            fn = self._ops[pc]
-            if fn is None:
-                fn = self._decode(pc)
-            return fn()
-        # Out-of-range (including the reference backend's negative-PC
-        # indexing quirk): defer to the fully general implementation.
-        return Interpreter.step(self)
+    #
+    # A table slot holds a block, a counting stub, or None; None (cold
+    # or unfusable code) and out-of-range PCs run the reference step.
 
     def step_fast(self):
         """Execute one fused basic block (or one instruction).
@@ -1033,9 +598,8 @@ class FastInterpreter(Interpreter):
         pc = self.core.pc
         if 0 <= pc < self._n:
             fn = table[pc]
-            if fn is None:
-                fn = self._decode_into(table, pc)
-            return fn()
+            if fn is not None:
+                return fn()
         return Interpreter.step(self)
 
     def drive_taken(self, limit):
@@ -1059,65 +623,19 @@ class FastInterpreter(Interpreter):
             while core.instret < limit:
                 hook()
                 pc = core.pc
-                if 0 <= pc < n:
-                    fn = table[pc]
-                    if fn is None:
-                        fn = self._decode_into(table, pc)
-                    fn()
-                else:
+                fn = table[pc] if 0 <= pc < n else None
+                if fn is None:
                     ref_step(self)
+                else:
+                    fn()
             return
         while core.instret < limit:
             pc = core.pc
-            if 0 <= pc < n:
-                fn = table[pc]
-                if fn is None:
-                    fn = self._decode_into(table, pc)
-                fn()
-            else:
-                ref_step(self)
-
-    # ------------------------------------------------------------------
-    # predecode
-
-    def _decode(self, pc):
-        instr = self.code[pc]
-        fn = None
-        factory = _dec_predicated if instr.pred \
-            else _DECODERS.get(instr.op)
-        if factory is not None:
-            try:
-                fn = factory(self, pc, instr, self._cost[instr.op])
-            except Exception:
-                fn = None
-        if fn is None:
-            # Unspecialized / undecodable: the inherited reference
-            # step handles it with full generality.
-            fn = self._ref_thunk
+            fn = table[pc] if 0 <= pc < n else None
             if fn is None:
-                interp = self
-                ref_step = Interpreter.step
-
-                def fn():
-                    return ref_step(interp)
-                self._ref_thunk = fn
-        self._ops[pc] = fn
-        return fn
-
-    def _decode_into(self, table, pc):
-        fn = self._ops[pc]
-        if fn is None:
-            fn = self._decode(pc)
-        table[pc] = fn
-        return fn
-
-    def _step_at(self, pc):
-        """Budget fallback used by fused blocks: execute exactly one
-        instruction at ``pc`` through the per-instruction table."""
-        fn = self._ops[pc]
-        if fn is None:
-            fn = self._decode(pc)
-        return fn()
+                ref_step(self)
+            else:
+                fn()
 
     # ------------------------------------------------------------------
     # basic-block closure compilation
@@ -1133,14 +651,15 @@ class FastInterpreter(Interpreter):
 
         Each run leader of the CFG partitioning (computed once and
         cached on ``_runs``) starts as a counting stub that executes
-        the leader on predecoded dispatch.  After ``_PROMOTE_AFTER``
+        the leader on the reference step.  After ``_PROMOTE_AFTER``
         entries the stub compiles its run alone (see
         :class:`_BlockCompiler`) and replaces itself with the block.
         Compiled code objects are memoised on the Program under the
         compiler's variant key, so a later run of the same program and
         variant promotes each memoised block at its first entry,
         without codegen; a run that failed to compile is memoised as
-        ``None`` and stays on predecoded dispatch.
+        ``None`` and its slot is emptied.  Every other slot is ``None``:
+        code outside a fused run always runs on the reference step.
         """
         table = [None] * self._n
         if sandboxed:
@@ -1153,10 +672,11 @@ class FastInterpreter(Interpreter):
                                            self._block_ops())
         compiler = _BlockCompiler(self, sandboxed=sandboxed)
         memo = self.program.block_memo.setdefault(compiler.variant, {})
+        step = self.step
         namespace = {
             '_core': self.core,
             '_interp': self,
-            '_fb': self._step_at,
+            '_fb': step,
             '_SimFault': SimFault,
             '_FK': FaultKind,
             '_stk': self.memory.stack_limit,
@@ -1199,8 +719,9 @@ class FastInterpreter(Interpreter):
                 entry = None
             memo[leader] = entry
             if entry is None:
-                fn = self._ops[leader] or self._decode(leader)
-            elif sandboxed:
+                table[leader] = None
+                return step
+            if sandboxed:
                 self.nt_block_count += 1
             else:
                 self.block_count += 1
@@ -1217,13 +738,15 @@ class FastInterpreter(Interpreter):
 
     def _stub(self, promote, leader, count, terminator, entries):
         """A leader's table entry until its block is promoted: counts
-        ``entries`` down, executing the leader singly meanwhile."""
-        step_at = self._step_at
+        ``entries`` down, executing the leader on the reference step
+        meanwhile (``core.pc`` is the leader whenever the table
+        dispatches it)."""
+        step = self.step
 
         def stub():
             nonlocal entries
             entries -= 1
             if entries <= 0:
                 return promote(leader, count, terminator)()
-            return step_at(leader)
+            return step()
         return stub

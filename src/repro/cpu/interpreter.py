@@ -33,9 +33,9 @@ class Interpreter:
 
     This is the *reference* backend: one fully general dispatch per
     instruction.  :class:`~repro.cpu.fastinterp.FastInterpreter`
-    subclasses it with a predecoded dispatch table and basic-block
-    closures; the two must stay semantically identical (see DESIGN.md,
-    "Dual-backend equivalence invariant").
+    subclasses it with basic-block closures and runs this ``step`` for
+    non-block code; the two must stay semantically identical (see
+    DESIGN.md, "Dual-backend equivalence invariant").
     """
 
     __slots__ = ('program', 'code', 'memory', 'allocator', 'core', 'io',

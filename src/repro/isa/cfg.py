@@ -40,11 +40,6 @@ BLOCK_OPS = FUSEABLE_OPS | {'ld', 'st', 'push', 'pop'}
 TERMINATOR_OPS = frozenset({'jmp', 'br'})
 
 
-def is_fuseable(instr, ops=FUSEABLE_OPS):
-    """Whether ``instr`` may *start or continue* a fused run."""
-    return instr.op in ops and not instr.pred
-
-
 def fuseable_run(code, pc, ops=FUSEABLE_OPS):
     """The straight-line fuseable run starting at ``pc``.
 

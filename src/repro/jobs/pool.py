@@ -28,6 +28,7 @@ results identically.
 
 from __future__ import annotations
 
+import gc
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -57,8 +58,14 @@ def execute_spec(spec_dict):
     spec = JobSpec.from_dict(spec_dict)
     worker_faults(spec.key)
     start = time.perf_counter()
-    result = run_job(spec)
-    return result.to_dict(), time.perf_counter() - start
+    result = run_job(spec).to_dict()
+    elapsed = time.perf_counter() - start
+    # A finished run's engine, interpreter and memory image (a list of
+    # 1M words) form reference cycles.  Collect them here, so a
+    # long-lived worker holds one run's memory at a time rather than
+    # however many the cyclic collector has not reached yet.
+    gc.collect()
+    return result, elapsed
 
 
 class _PoolState:

@@ -6,7 +6,7 @@ import pytest
 from repro.apps.registry import get_app
 from repro.core.cmp_detailed import (DetailedCmpEngine, _NTView,
                                      _Segment, _TakenView)
-from repro.core.config import Mode, PathExpanderConfig
+from repro.core.config import BACKEND_CHOICES, Mode, PathExpanderConfig
 from repro.core.runner import make_detector, run_detailed_cmp, run_program
 from repro.cpu.syscalls import IOContext
 from repro.memory.main_memory import MainMemory
@@ -167,6 +167,20 @@ class TestDetailedEngine:
         assert {r.site_key for r in detailed.reports} == \
             {r.site_key for r in standard.reports}
         assert detailed.output == standard.output
+
+    def test_backends_byte_identical(self):
+        # The detailed engine steps every context one instruction at a
+        # time; the fast backend must still be undetectable there.
+        program = compile_minic(SRC, name='detailed_backends')
+        results = {}
+        for backend in BACKEND_CHOICES:
+            results[backend] = run_detailed_cmp(
+                program, detector='ccured',
+                config=PathExpanderConfig(mode=Mode.CMP, backend=backend),
+                int_input=[3]).to_dict()
+        assert results['fast'] == results['reference']
+        assert results['reference']['nt_spawned'] > 0
+        assert results['reference']['reports']
 
     def test_config_coerced_to_cmp_mode(self):
         program = compile_minic(SRC, name='coerce')

@@ -2,10 +2,10 @@
 
 The system-level guarantee (byte-identical results on real apps) lives
 in ``test_backend_equivalence.py``; this file pins down the individual
-mechanisms: predecode coverage, block fusion, budget-aware truncation,
-mid-block fault flushing, predicated handling, the out-of-range-PC
-quirk, every fallback path, tiered promotion and the per-Program code
-memo.
+mechanisms: every opcode's block emitter against the reference step,
+block fusion, budget-aware truncation, mid-block fault flushing,
+predicated handling, the out-of-range-PC quirk, every fallback path,
+tiered promotion and the per-Program code memo.
 """
 
 from __future__ import annotations
@@ -67,8 +67,32 @@ def _alu_block_program(pad=6):
     return _prog(code)
 
 
+# Promotion thresholds for the opcode tests.  At 1 every run is
+# compiled on first entry, so each opcode executes in its
+# _BlockCompiler emitter; at the default these short programs never
+# promote and the fast backend runs them on the reference step.
+_OPCODE_THRESHOLDS = (1, fastinterp._PROMOTE_AFTER)
+
+
+def _run_opcodes(monkeypatch, code, **program_kwargs):
+    """``_run_both`` at each of ``_OPCODE_THRESHOLDS``, on a fresh
+    Program (cold block memo) each time."""
+    data = None
+    for after in _OPCODE_THRESHOLDS:
+        monkeypatch.setattr(fastinterp, '_PROMOTE_AFTER', after)
+        program = _prog(code, **program_kwargs)
+        result = _run_both(program)
+        if after == 1:
+            assert any(entry is not None
+                       for variant in program.block_memo.values()
+                       for entry in variant.values())
+        assert data is None or result == data
+        data = result
+    return data
+
+
 class TestOpcodeClosures:
-    def test_alu_cmp_shift_semantics(self):
+    def test_alu_cmp_shift_semantics(self, monkeypatch):
         # Operands live in high registers so the A1 moves for printing
         # cannot clobber them.
         code = [Instr('li', 10, -7), Instr('li', 11, 3)]
@@ -79,11 +103,11 @@ class TestOpcodeClosures:
             code.append(Instr('mov', Reg.A1, 12))
             code.append(Instr('syscall', Syscall.PRINT_INT))
         code.append(Instr('halt'))
-        data = _run_both(_prog(code))
+        data = _run_opcodes(monkeypatch, code)
         assert data['int_output'][:3] == [-4, -10, -21]
 
-    def test_memory_stack_and_calls(self):
-        fn = 9
+    def test_memory_stack_and_calls(self, monkeypatch):
+        fn = 13
         code = [
             Instr('li', 1, 20),
             Instr('st', 1, 0, 16),          # globals base
@@ -93,18 +117,22 @@ class TestOpcodeClosures:
             Instr('pop', 3),
             Instr('mov', Reg.A1, Reg.RV),
             Instr('syscall', Syscall.PRINT_INT),
+            Instr('mov', Reg.A1, 3),        # the popped value
+            Instr('syscall', Syscall.PRINT_INT),
+            Instr('mov', Reg.A1, Reg.SP),   # stack pointer after pop
+            Instr('syscall', Syscall.PRINT_INT),
             Instr('halt'),
             # double(top of stack) -> RV
             Instr('ld', 4, Reg.SP, 1),      # arg above return address
             Instr('add', Reg.RV, 4, 4),
             Instr('ret'),
         ]
-        data = _run_both(_prog(code, functions={'main': 0,
-                                                'double': fn}))
-        assert data['int_output'] == [40]
+        data = _run_opcodes(monkeypatch, code,
+                            functions={'main': 0, 'double': fn})
+        assert data['int_output'][:2] == [40, 20]
         assert data['exit_code'] == 0
 
-    def test_division_semantics_match(self):
+    def test_division_semantics_match(self, monkeypatch):
         # Truncation toward zero for negative operands, in and out of
         # fused blocks.
         for dividend, divisor in [(-7, 2), (7, -2), (-7, -2), (7, 2)]:
@@ -115,7 +143,7 @@ class TestOpcodeClosures:
                     Instr('mov', Reg.A1, 4),
                     Instr('syscall', Syscall.PRINT_INT),
                     Instr('halt')]
-            data = _run_both(_prog(code))
+            data = _run_opcodes(monkeypatch, code)
             quotient, remainder = data['int_output']
             assert quotient * divisor + remainder == dividend
 
@@ -170,7 +198,7 @@ class TestBlockFusion:
         result = engine.run()
         assert engine.interp.block_compile_failed
         assert engine.interp.block_count == 0
-        assert result.int_output  # still ran, on predecoded dispatch
+        assert result.int_output  # still ran, on the reference step
 
     def test_assert_fused_only_without_detector(self):
         code = [Instr('li', 1, 1), Instr('li', 2, 2),

@@ -1,5 +1,6 @@
 """Tests for the parallel job subsystem (``repro.jobs``)."""
 
+import gc
 import json
 import time
 
@@ -9,6 +10,7 @@ from repro.core.runner import run_job
 from repro.jobs import (JobExecutionError, JobPool, JobSpec,
                         ResultStore, RunMetrics)
 from repro.jobs import pool as pool_module
+from repro.memory.main_memory import MainMemory
 
 TINY_SRC = '''
 int main() {
@@ -175,6 +177,21 @@ class TestJobPool:
         assert [r.to_dict() for r in pooled] == \
             [r.to_dict() for r in direct]
         assert pool.metrics.jobs_run == 2
+
+    def test_worker_frees_each_run_before_the_next(self):
+        # A run's engine, interpreter and memory image form reference
+        # cycles; the worker entry point collects them, so a long-lived
+        # worker never holds more than one run's memory.
+        def live_memories():
+            return sum(type(obj) is MainMemory for obj in gc.get_objects())
+        gc.collect()
+        before = live_memories()
+        gc.disable()
+        try:
+            pool_module.execute_spec(tiny_spec().to_dict())
+            assert live_memories() == before
+        finally:
+            gc.enable()
 
     def test_cache_hit_skips_execution(self, tmp_path):
         store = ResultStore(tmp_path)
