@@ -11,7 +11,7 @@ Three synthetic kernels bound the backends' throughput (MIPS):
 * ``nt_heavy`` -- a never-taken branch whose non-taken side exhausts
   the whole NT-path length budget, spawned at nearly every encounter.
   Wall time is dominated by sandboxed NT-path execution, so this
-  measures the sandboxed block tables in isolation.
+  measures compiled blocks running inside NT-paths in isolation.
 
 Each scenario row records a taken-vs-NT split (instructions and, per
 backend, wall seconds spent inside NT-paths).

@@ -143,6 +143,10 @@ class PathExpanderEngine:
         except SimFault as fault:
             result.crashed = True
             result.crash_kind = fault.kind
+        finally:
+            # Break the interpreter's cycles, so reference counting
+            # frees the run as soon as its engine is dropped.
+            interp.release()
         self._finalize()
         return result
 

@@ -10,18 +10,17 @@ Two interchangeable backends execute programs (see DESIGN.md,
 ``fast``
     :class:`~repro.cpu.fastinterp.FastInterpreter` -- the reference
     ``step`` for non-block code plus fused basic-block closures, in
-    two tables: a taken-path block table and a *sandboxed* NT-path
-    table whose stores route through the active memory journal and
-    honour the volatile-overflow exit and the NT length budget.  Must
-    be byte-identical to the reference on every observable
+    one table serving the taken path and NT-paths; a block's stores
+    test for an active memory journal and, inside an NT-path, for the
+    volatile-overflow exit, and every block honours the NT length
+    budget.  Must be byte-identical to the reference on every observable
     (:meth:`RunResult.to_dict`); the differential harness in
     ``tests/test_backend_equivalence.py`` enforces this.
 
 ``make_interpreter`` is the single construction point used by the
 engines.  An unknown backend name raises ``ValueError`` up front (it is
-a config error), but a *failure inside* the fast backend's construction
-falls back to the reference backend automatically: a run should never
-die because an optimisation could not be applied.
+a config error).  A run that fails on the fast backend is re-executed
+on the reference backend by ``repro.core.runner.run_program``.
 """
 
 from __future__ import annotations
@@ -45,17 +44,5 @@ def make_interpreter(backend, program, memory, allocator, core, io,
     except KeyError:
         raise ValueError('unknown backend %r (expected one of %s)'
                          % (backend, ', '.join(BACKENDS)))
-    try:
-        return cls(program, memory, allocator, core, io, costs,
-                   cache=cache, detector=detector, on_branch=on_branch)
-    except Exception as exc:
-        if cls is Interpreter:
-            raise
-        # Automatic fallback: the fast backend is an optimisation, not
-        # a requirement.
-        from repro.resilience import events
-        events.record('backend_construction_fallback',
-                      program=program.name, error=repr(exc))
-        return Interpreter(program, memory, allocator, core, io, costs,
-                           cache=cache, detector=detector,
-                           on_branch=on_branch)
+    return cls(program, memory, allocator, core, io, costs,
+               cache=cache, detector=detector, on_branch=on_branch)

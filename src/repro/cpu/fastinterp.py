@@ -9,12 +9,12 @@ inherits unchanged.  Every opcode is therefore defined twice: once in
 :func:`repro.isa.cfg.basic_runs`) can be compiled into a single
 closure that executes the whole run in one call and retires its
 cycles/instret in one update.  ``step_fast()`` and ``drive_taken()``
-dispatch through a block table that starts with a cheap counting stub
-at each run leader; the stub executes the leader on the reference
-``step`` and, after ``_PROMOTE_AFTER`` entries, compiles *that run
+dispatch through one block table, serving the taken path and NT-paths
+alike, that starts with a cheap counting stub at each run leader; the
+stub executes the leader on the reference ``step`` and, after
+``_PROMOTE_AFTER`` entries from either path, compiles *that run
 alone* (one small generated source, one ``compile()``), runs it with
 ``exec`` in the table's namespace and replaces itself with the block.
-The taken table and the sandboxed NT-path table promote independently.
 Compiled code objects are memoised on the :class:`Program`
 (``Program.block_memo``), keyed by the :class:`_BlockCompiler` variant
 key and the leader, so each later run of the same program and variant
@@ -40,12 +40,12 @@ equivalence invariant"):
   NT-path length budget inside the sandbox -- see ``enter_nt``) and
   executes one instruction on the reference step instead, so
   truncation points match;
-* inside NT-paths ``step_fast`` dispatches through a second,
-  *sandboxed* block table compiled from the same CFG partitioning:
-  stores check L1 volatile overflow (flushing the completed prefix and
-  returning ``'overflow'`` exactly where the reference would) and
-  route through the active memory journal with the monitor-area
-  carve-out inlined; everything that can terminate a path
+* a block's stores make the reference step's two NT-path decisions
+  from run-time state, as ``step`` does: an L1 volatile overflow
+  inside an NT-path flushes the completed prefix and returns
+  ``'overflow'`` exactly where the reference would, and a write under
+  an active journal records the old value first (monitor area
+  excepted); everything else that can terminate a path
   (``syscall``/``malloc``/``free``, predicated execution) is never
   fused and reaches the reference semantics per instruction;
 * every table slot without a stub or block -- cold code outside any
@@ -154,17 +154,15 @@ class _BlockCompiler:
     and instret of the instructions already completed and parks
     ``core.pc`` on the faulting instruction.
 
-    With ``sandboxed=True`` the compiler emits the NT-path variant of
-    every block: stores check for L1 volatile overflow (flushing the
-    completed prefix and returning ``'overflow'`` mid-block, exactly
-    where the reference per-instruction loop would stop) and write
-    through the active memory journal -- first store to a non-monitor
-    address records the old value -- instead of plain memory.
+    One block serves the taken path and NT-paths: a store tests for L1
+    volatile overflow inside an NT-path (flushing the completed prefix
+    and returning ``'overflow'`` mid-block, exactly where the reference
+    per-instruction loop would stop) and, under an active journal,
+    records the old value of its first write to a non-monitor address.
     """
 
-    def __init__(self, interp, sandboxed=False):
+    def __init__(self, interp):
         self.interp = interp
-        self.sandboxed = sandboxed
         self.cost = interp._cost
         self.has_det = interp.detector is not None
         self.has_cache = interp.cache is not None
@@ -189,8 +187,8 @@ class _BlockCompiler:
         # constants bound above; code memoised on the Program is keyed
         # by this tuple (plus the leader), so any constant added above
         # must be added here too.
-        self.variant = (sandboxed, self.has_det, self.has_cache,
-                        self.l1_hit, self.inline_read, self.line_shift,
+        self.variant = (self.has_det, self.has_cache, self.l1_hit,
+                        self.inline_read, self.line_shift,
                         self.cache_hit, tuple(sorted(self.cost.items())))
 
     # ------------------------------------------------------------------
@@ -320,30 +318,22 @@ class _BlockCompiler:
     def _write_lines(self):
         """Source writing ``_v`` to memory at ``_a``.
 
-        With plain MainMemory the bounds guard and the journal test are
-        inlined; out-of-bounds addresses take the fallback call, which
-        raises the exact reference fault.  The sandboxed variant
-        assumes an active journal (the engine begins one before any
-        sandboxed block can run) and inlines MainMemory.write's
-        first-write-only journal capture with the monitor-area
-        carve-out.
+        With plain MainMemory the bounds guard and MainMemory.write's
+        first-write-only journal capture (monitor area excepted) are
+        inlined; the active journal, when there is one, is always
+        ``nt_journal``.  Out-of-bounds addresses take the fallback
+        call, which raises the exact reference fault.
         """
         if not self.inline_read:
             return ['_wr(_a, _v)']
-        guard = ['if _a < %d or _a >= _msize:' % NULL_GUARD,
-                 '    _wr(_a, _v)']
-        if self.sandboxed:
-            return guard + [
-                'elif _a in _jl or _mb <= _a < _ml:',
+        return ['if _a < %d or _a >= _msize:' % NULL_GUARD,
+                '    _wr(_a, _v)',
+                'elif _mem._journal is None or _a in _jl'
+                ' or _mb <= _a < _ml:',
                 '    _cells[_a] = _v',
                 'else:',
                 '    _jl[_a] = _cells[_a]',
                 '    _cells[_a] = _v']
-        return guard + [
-            'elif _mem._journal is None:',
-            '    _cells[_a] = _v',
-            'else:',
-            '    _wr(_a, _v)']
 
     def _emit(self, instr, pc, leader):
         op, a, b, c = instr.op, instr.a, instr.b, instr.c
@@ -439,12 +429,13 @@ class _BlockCompiler:
             static = cost
             cy = False
             if self.has_cache:
+                miss = ''
                 if self.line_shift is not None:
                     # Inlined last-line memo (see the load arm).  A
                     # memo hit can never signal volatile overflow (the
                     # preallocated hit result never does), so the
-                    # sandboxed overflow exit lives on the miss arm
-                    # only.
+                    # overflow exit lives on the miss arm only.
+                    miss = '    '
                     lines.extend([
                         '_t = _cache._tick + 1',
                         '_cache._tick = _t',
@@ -458,38 +449,22 @@ class _BlockCompiler:
                         '    _tc = %d' % self.cache_hit,
                         'else:',
                         '    _cache._tick = _t - 1',
-                        '    _res = _cache.access(_a, True, _cv)',
-                        '    _tc = _res.cycles',
                     ])
-                    if self.sandboxed:
-                        # NT-path store: L1 may refuse to buffer
-                        # another volatile line.  The reference charges
-                        # the store's full cycles, leaves pc/instret on
-                        # the store and returns 'overflow'; flush the
-                        # completed prefix exactly as the SimFault
-                        # handler would.
-                        lines.extend([
-                            '    if _res.volatile_overflow:',
-                            '        core.pc = %d' % pc,
-                            '        core.cycles += _cy + _SP%d[%d]'
-                            ' + %d + _tc' % (leader, index, cost),
-                            '        core.instret += %d' % index,
-                            "        return 'overflow'",
-                        ])
-                elif self.sandboxed:
-                    lines.extend([
-                        '_res = _cache.access(_a, True, _cv)',
-                        '_tc = _res.cycles',
-                        'if _res.volatile_overflow:',
-                        '    core.pc = %d' % pc,
-                        '    core.cycles += _cy + _SP%d[%d] + %d + _tc'
-                        % (leader, index, cost),
-                        '    core.instret += %d' % index,
-                        "    return 'overflow'",
-                    ])
-                else:
-                    lines.append(
-                        '_tc = _cache.access(_a, True, _cv).cycles')
+                # Inside an NT-path, L1 may refuse to buffer another
+                # volatile line.  The reference charges the store's
+                # full cycles, leaves pc/instret on the store and
+                # returns 'overflow'; flush the completed prefix
+                # exactly as the SimFault handler would.
+                lines.extend(miss + line for line in [
+                    '_res = _cache.access(_a, True, _cv)',
+                    '_tc = _res.cycles',
+                    'if _res.volatile_overflow and _interp.in_nt_path:',
+                    '    core.pc = %d' % pc,
+                    '    core.cycles += _cy + _SP%d[%d] + %d + _tc'
+                    % (leader, index, cost),
+                    '    core.instret += %d' % index,
+                    "    return 'overflow'",
+                ])
                 # The store's own cache latency is committed only once
                 # the write succeeds (the reference discards it when
                 # memory.write faults), but the cache state mutation
@@ -543,11 +518,10 @@ class FastInterpreter(Interpreter):
     """Drop-in replacement for :class:`Interpreter` (same contract).
 
     ``step`` is the inherited reference step; only ``step_fast`` and
-    ``drive_taken`` differ, dispatching through the block tables.
+    ``drive_taken`` differ, dispatching through the block table.
     """
 
-    __slots__ = ('_n', '_fast', '_fast_nt', '_runs',
-                 'block_compile_failed', 'block_count', 'nt_block_count',
+    __slots__ = ('_n', '_fast', 'block_compile_failed', 'block_count',
                  '_fault_hook')
 
     def __init__(self, program, memory, allocator, core, io, costs,
@@ -558,18 +532,22 @@ class FastInterpreter(Interpreter):
         self._n = len(self.code)
         # Built lazily: short-lived interpreters (one per NT-path in
         # the detailed CMP engine, which only calls ``step``) never
-        # build a table, and the sandboxed table waits for the first
-        # NT-path.
+        # build a table.
         self._fast = None
-        self._fast_nt = None
-        self._runs = None
         self.block_compile_failed = False
         self.block_count = 0
-        self.nt_block_count = 0
         # Chaos-harness hook ('fastinterp.block'): None unless a fault
         # plan arms the site, so steady-state dispatch never pays for it
         # (see repro.resilience.faults.site_hook).
         self._fault_hook = site_hook('fastinterp.block')
+
+    def release(self):
+        Interpreter.release(self)
+        # Stubs hold ``promote``, which holds the table and this
+        # interpreter: empty the table to break that cycle too.
+        table, self._fast = self._fast, None
+        if table is not None:
+            table.clear()
 
     # ------------------------------------------------------------------
     # dispatch
@@ -580,21 +558,15 @@ class FastInterpreter(Interpreter):
     def step_fast(self):
         """Execute one fused basic block (or one instruction).
 
-        Dispatches through the taken-path block table, or -- inside an
-        NT-path -- through the sandboxed variant, whose blocks honour
-        the journal, the volatile-overflow exit and the NT instret
-        budget (installed by ``enter_nt``).
+        Serves the taken path and NT-paths from the same table: blocks
+        test ``in_nt_path`` and the active journal at run time, and
+        honour the NT instret budget that ``enter_nt`` installs.
         """
         if self._fault_hook is not None:
             self._fault_hook()
-        if self.in_nt_path:
-            table = self._fast_nt
-            if table is None:
-                table = self._build_fast_table(sandboxed=True)
-        else:
-            table = self._fast
-            if table is None:
-                table = self._build_fast_table()
+        table = self._fast
+        if table is None:
+            table = self._build_fast_table()
         pc = self.core.pc
         if 0 <= pc < self._n:
             fn = table[pc]
@@ -611,24 +583,17 @@ class FastInterpreter(Interpreter):
         closure, so ``in_nt_path`` is always False at this level.
         """
         core = self.core
+        if self._fault_hook is not None:
+            # Chaos variant: step_fast polls the injection hook.
+            step_fast = self.step_fast
+            while core.instret < limit:
+                step_fast()
+            return
         table = self._fast
         if table is None:
             table = self._build_fast_table()
         n = self._n
         ref_step = Interpreter.step
-        hook = self._fault_hook
-        if hook is not None:
-            # Chaos variant: identical dispatch, plus a per-iteration
-            # injection poll.  Kept out of the steady-state loop below.
-            while core.instret < limit:
-                hook()
-                pc = core.pc
-                fn = table[pc] if 0 <= pc < n else None
-                if fn is None:
-                    ref_step(self)
-                else:
-                    fn()
-            return
         while core.instret < limit:
             pc = core.pc
             fn = table[pc] if 0 <= pc < n else None
@@ -646,57 +611,44 @@ class FastInterpreter(Interpreter):
             ops = ops | frozenset({'assert'})
         return ops
 
-    def _build_fast_table(self, sandboxed=False):
-        """Install one block table -- taken-path or sandboxed NT-path.
+    def _build_fast_table(self):
+        """Install the block table.
 
-        Each run leader of the CFG partitioning (computed once and
-        cached on ``_runs``) starts as a counting stub that executes
-        the leader on the reference step.  After ``_PROMOTE_AFTER``
-        entries the stub compiles its run alone (see
+        Each run leader starts as a counting stub that executes the
+        leader on the reference step; after ``_PROMOTE_AFTER`` entries
+        from either path it compiles its run alone (see
         :class:`_BlockCompiler`) and replaces itself with the block.
-        Compiled code objects are memoised on the Program under the
-        compiler's variant key, so a later run of the same program and
-        variant promotes each memoised block at its first entry,
-        without codegen; a run that failed to compile is memoised as
-        ``None`` and its slot is emptied.  Every other slot is ``None``:
-        code outside a fused run always runs on the reference step.
+        Code objects are memoised on the Program under the compiler's
+        variant key, so a later run of the same program and variant
+        promotes each memoised block at its first entry, without
+        codegen; a run that failed to compile is memoised as ``None``
+        and its slot is emptied.  Every other slot is ``None``: code
+        outside a fused run always runs on the reference step.
         """
-        table = [None] * self._n
-        if sandboxed:
-            self._fast_nt = table
-        else:
-            self._fast = table
-        runs = self._runs
-        if runs is None:
-            runs = self._runs = basic_runs(self.program,
-                                           self._block_ops())
-        compiler = _BlockCompiler(self, sandboxed=sandboxed)
+        table = self._fast = [None] * self._n
+        compiler = _BlockCompiler(self)
         memo = self.program.block_memo.setdefault(compiler.variant, {})
         step = self.step
+        memory = self.memory
         namespace = {
             '_core': self.core,
             '_interp': self,
             '_fb': step,
             '_SimFault': SimFault,
             '_FK': FaultKind,
-            '_stk': self.memory.stack_limit,
-            '_rd': self.memory.read,
-            '_wr': self.memory.write,
+            '_stk': memory.stack_limit,
+            '_rd': memory.read,
+            '_wr': memory.write,
         }
         if compiler.inline_read:
-            namespace['_cells'] = self.memory.cells
-            namespace['_msize'] = self.memory.size
-            if sandboxed:
-                namespace['_jl'] = self.memory.nt_journal
-                namespace['_mb'] = self.memory.monitor_base
-                namespace['_ml'] = self.memory.monitor_limit
-            else:
-                namespace['_mem'] = self.memory
+            namespace.update(_cells=memory.cells, _msize=memory.size,
+                             _mem=memory, _jl=memory.nt_journal,
+                             _mb=memory.monitor_base,
+                             _ml=memory.monitor_limit)
         if self.detector is not None:
             namespace['_dl'] = self.detector.on_load
             namespace['_ds'] = self.detector.on_store
-        filename = '<fastblocks%s:%s>' % ('-nt' if sandboxed else '',
-                                          self.program.name)
+        filename = '<fastblocks:%s>' % self.program.name
 
         def promote(leader, count, terminator):
             entry = memo.get(leader, _COLD)
@@ -713,7 +665,9 @@ class FastInterpreter(Interpreter):
                     code, name, extra = entry
                     namespace.update(extra)
                     exec(code, namespace)
-                    fn = namespace[name]
+                    # Popped: the namespace is the block's globals, and
+                    # keeping the block in it too would form a cycle.
+                    fn = namespace.pop(name)
             except Exception:
                 self.block_compile_failed = True
                 entry = None
@@ -721,14 +675,12 @@ class FastInterpreter(Interpreter):
             if entry is None:
                 table[leader] = None
                 return step
-            if sandboxed:
-                self.nt_block_count += 1
-            else:
-                self.block_count += 1
+            self.block_count += 1
             table[leader] = fn
             return fn
 
-        for leader, count, terminator in runs:
+        for leader, count, terminator in basic_runs(self.program,
+                                                    self._block_ops()):
             entry = memo.get(leader, _COLD)
             if entry is not None:
                 table[leader] = self._stub(

@@ -297,12 +297,17 @@ class Interpreter:
         ``'unsafe'``/``'overflow'`` can only occur inside NT-paths,
         which the branch callback runs to completion before
         returning.  The fast backend overrides this with a loop over
-        its block tables.
+        its block table.
         """
         core = self.core
         step = self.step
         while core.instret < limit:
             step()
+
+    def release(self):
+        """Drop the engine's branch callback, a bound method whose cycle
+        would keep the finished run alive until the cyclic collector."""
+        self.on_branch = None
 
     # ------------------------------------------------------------------
 

@@ -12,10 +12,9 @@ Two fuseable-op tiers exist:
 * :data:`BLOCK_OPS` -- adds the straight-line memory instructions
   (``ld``/``st``/``push``/``pop``).  The fast backend fuses these too:
   their cache/detector hooks still fire per instruction *inside* the
-  fused closure, in exactly the reference order.  Each run is compiled
-  twice from the same partitioning (:func:`basic_runs`): a taken-path
-  variant and a *sandboxed* NT-path variant whose stores route through
-  the active memory journal.
+  fused closure, in exactly the reference order.  Each run of the
+  partitioning (:func:`basic_runs`) is compiled once, into a block that
+  serves the taken path and NT-paths alike.
 
 Additionally a run may contain *predicated* instructions: inside a
 block the predicate register is provably false (a predicated-leader
@@ -71,10 +70,9 @@ def basic_runs(program, ops=FUSEABLE_OPS):
     """Every fuseable run in ``program``, as ``[(leader, count,
     terminator), ...]`` sorted by leader.
 
-    One CFG pass serving every block table built over the same op tier:
-    the fast backend compiles each run twice -- a taken-path variant
-    and a sandboxed NT-path variant -- from this single partitioning.
-    Runs of weight < 2 (nothing to fuse) are omitted.
+    One CFG pass serving the block table built over the same op tier:
+    the fast backend compiles each run once, for the taken path and
+    NT-paths alike.  Runs of weight < 2 (nothing to fuse) are omitted.
     """
     code = program.code
     runs = []

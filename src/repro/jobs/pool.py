@@ -28,7 +28,6 @@ results identically.
 
 from __future__ import annotations
 
-import gc
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -60,11 +59,6 @@ def execute_spec(spec_dict):
     start = time.perf_counter()
     result = run_job(spec).to_dict()
     elapsed = time.perf_counter() - start
-    # A finished run's engine, interpreter and memory image (a list of
-    # 1M words) form reference cycles.  Collect them here, so a
-    # long-lived worker holds one run's memory at a time rather than
-    # however many the cyclic collector has not reached yet.
-    gc.collect()
     return result, elapsed
 
 

@@ -51,8 +51,9 @@ class MainMemory:
         self.stack_top = size
         self._journal = None
         # Preallocated journal dict, reused across NT-path spawns:
-        # ``begin_journal`` arms it instead of allocating, and the
-        # sandboxed fast-backend blocks bind it once at compile time.
+        # ``begin_journal`` arms it instead of allocating, so it is the
+        # only journal ever active, and the fast backend's blocks bind
+        # it once per table.
         self.nt_journal = {}
 
     # ------------------------------------------------------------------

@@ -10,6 +10,8 @@ tiered promotion and the per-Program code memo.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.config import (BACKEND_CHOICES, PathExpanderConfig,
@@ -25,6 +27,8 @@ from repro.isa.cfg import (BLOCK_OPS, FUSEABLE_OPS, TERMINATOR_OPS,
                            block_leaders, fuseable_run)
 from repro.isa.instructions import Instr, Reg, Syscall
 from repro.isa.program import Program
+from repro.memory.main_memory import MainMemory
+from repro.resilience import events
 
 
 def _prog(code, functions=None, entry=0, globals_size=64):
@@ -228,8 +232,8 @@ def _nt_program(nt_body, trips=6):
 
 @pytest.mark.usefixtures('promote_at_once')
 class TestNTBlocks:
-    """The sandboxed block table: NT-paths executed through fused
-    closures must be indistinguishable from reference stepping."""
+    """NT-paths executed through fused closures must be
+    indistinguishable from reference stepping."""
 
     def test_nt_paths_run_through_sandboxed_blocks(self):
         # An ALU loop on the NT side: every path length-terminates.
@@ -240,8 +244,11 @@ class TestNTBlocks:
                          max_nt_path_length=50)
         data = engine.run().to_dict()
         assert data['nt_spawned'] > 0
-        assert engine.interp.nt_block_count > 0
+        assert engine.interp.block_count > 0
         assert not engine.interp.block_compile_failed
+        # The NT side (leader 8) is reached only inside NT-paths.
+        memo, = program.block_memo.values()
+        assert memo[8] is not None
 
     def test_mid_nt_fault_terminates_path_only(self):
         # div-by-zero inside a fused NT block: the path counts a crash
@@ -301,6 +308,28 @@ class TestNTBlocks:
         assert fast.memory.cells == reference.memory.cells
         assert len(fast.memory.nt_journal) == 0
 
+    def test_taken_and_nt_paths_share_blocks(self, monkeypatch):
+        # A hot store loop whose never-taken branch leads back into the
+        # same run: NT-paths re-enter the taken path's block and, each
+        # store touching a fresh line, overflow the tiny L1's volatile
+        # ways mid-block.
+        code = [Instr('li', 1, 0), Instr('li', 2, 300),
+                Instr('li', 5, 1000), Instr('li', 9, 0),
+                Instr('st', 1, 5, 0),            # 4: loop
+                Instr('addi', 5, 5, 16),
+                Instr('addi', 1, 1, 1),
+                Instr('br', 9, 4),               # NT side: the loop
+                Instr('slt', 8, 1, 2),
+                Instr('br', 8, 4),
+                Instr('halt')]
+        for after in _OPCODE_THRESHOLDS:
+            monkeypatch.setattr(fastinterp, '_PROMOTE_AFTER', after)
+            program = _prog(code)
+            data = _run_both(program, mode='standard',
+                             l1_size_bytes=512, l1_ways=2)
+            assert data['nt_terminations']['overflow'] > 0
+            assert len(program.block_memo) == 1
+
 
 def _memory_block_program():
     """A loop of fused loads and stores, so detector and cache hooks
@@ -357,8 +386,9 @@ class TestBlockMemo:
                       enable_cache_model=cache)
             assert set(program.block_memo) > variants
             variants = set(program.block_memo)
-        # Each run used a taken-path and a sandboxed variant.
-        assert len(variants) == 6
+        # One variant per detector/cache configuration, serving the
+        # taken path and NT-paths alike.
+        assert len(variants) == 3
 
     def test_failed_compile_is_memoised(self, monkeypatch):
         good_compile = _BlockCompiler.compile
@@ -376,6 +406,33 @@ class TestBlockMemo:
         engine.run()
         assert engine.interp.block_count == 0
         assert not engine.interp.block_compile_failed
+
+
+class TestRunRelease:
+    """A finished run frees itself by reference counting: no engine,
+    interpreter or block table cycle keeps its memory image alive."""
+
+    @pytest.mark.parametrize('after', _OPCODE_THRESHOLDS)
+    @pytest.mark.parametrize('backend', BACKEND_CHOICES)
+    def test_finished_run_frees_its_memory_image(self, monkeypatch,
+                                                 backend, after):
+        monkeypatch.setattr(fastinterp, '_PROMOTE_AFTER', after)
+        program = _memory_block_program()
+        config = PathExpanderConfig(mode='standard', backend=backend)
+
+        def live_memories():
+            return sum(type(obj) is MainMemory
+                       for obj in gc.get_objects())
+        gc.collect()
+        before = live_memories()
+        gc.disable()
+        try:
+            result = run_program(program, detector='ccured',
+                                 config=config)
+            assert result.nt_spawned > 0
+            assert live_memories() == before
+        finally:
+            gc.enable()
 
 
 class TestDispatchEdges:
@@ -516,13 +573,18 @@ class TestBackendSelection:
 
     def test_construction_failure_falls_back_to_reference(
             self, monkeypatch):
+        # run_program's degradation path re-executes the run on the
+        # reference backend.
+        program = _alu_block_program()
+        expected = run_program(program, config=PathExpanderConfig(
+            backend='reference')).to_dict()
+
         class Exploding(FastInterpreter):
             def __init__(self, *args, **kwargs):
                 raise RuntimeError('boom')
         monkeypatch.setitem(backend_mod._CLASSES, 'fast', Exploding)
-        program = _alu_block_program()
-        config = PathExpanderConfig(backend='fast')
-        engine = PathExpanderEngine(program, config=config)
-        assert type(engine.interp) is Interpreter
-        result = engine.run()
-        assert result.exit_code == 0
+        events.clear()
+        result = run_program(program,
+                             config=PathExpanderConfig(backend='fast'))
+        assert result.to_dict() == expected
+        assert events.counts() == {'degraded_to_reference': 1}

@@ -179,9 +179,9 @@ class TestJobPool:
         assert pool.metrics.jobs_run == 2
 
     def test_worker_frees_each_run_before_the_next(self):
-        # A run's engine, interpreter and memory image form reference
-        # cycles; the worker entry point collects them, so a long-lived
-        # worker never holds more than one run's memory.
+        # A finished run frees its engine, interpreter and memory image
+        # by reference counting, so a long-lived worker never holds
+        # more than one run's memory.
         def live_memories():
             return sum(type(obj) is MainMemory for obj in gc.get_objects())
         gc.collect()
