@@ -16,6 +16,12 @@ Three synthetic kernels bound the backends' throughput (MIPS):
 Each scenario row records a taken-vs-NT split (instructions and, per
 backend, wall seconds spent inside NT-paths).
 
+A report-only ``short_runs`` row tracks the per-run fixed cost:
+milliseconds per ``run_program`` of a tiny monitored program (engine,
+memory image and block table built, run and released), averaged over
+many back-to-back runs so the garbage-collection pauses they cause
+are included.  It has no gate.
+
 All kernels are also differential tests: the run must produce a
 byte-identical :class:`RunResult` on both backends before a timing is
 accepted.
@@ -46,7 +52,7 @@ if __package__ is None and __name__ == '__main__':
 
 from repro.core.config import PathExpanderConfig
 from repro.core.engine import PathExpanderEngine
-from repro.core.runner import make_detector
+from repro.core.runner import make_detector, run_program
 from repro.isa.instructions import Instr
 from repro.isa.program import Program
 
@@ -233,12 +239,34 @@ def measure_scenario(name, scale=1.0, repeats=3):
     return row
 
 
+def measure_short_runs(runs=40):
+    """Mean milliseconds per ``run_program`` of a tiny monitored
+    program on each backend; the results must be identical."""
+    program = build_mem_kernel(iters=20)
+    row = {'runs': runs}
+    results = {}
+    for backend in ('reference', 'fast'):
+        config = PathExpanderConfig(mode='standard', backend=backend)
+        start = time.perf_counter()
+        for _ in range(runs):
+            results[backend] = run_program(program, detector='ccured',
+                                           config=config).to_dict()
+        row[backend] = {'ms': round(
+            1000 * (time.perf_counter() - start) / runs, 3)}
+    if results['fast'] != results['reference']:
+        raise AssertionError('backend mismatch on short_runs: fast '
+                             'RunResult differs from reference')
+    return row
+
+
 def measure(scale=1.0, repeats=3):
     payload = {'benchmark': 'interp_throughput', 'scale': scale,
                'repeats': repeats, 'scenarios': {}}
     for name in SCENARIOS:
         payload['scenarios'][name] = measure_scenario(
             name, scale=scale, repeats=repeats)
+    payload['short_runs'] = measure_short_runs(
+        runs=max(5, int(40 * scale)))
     return payload
 
 
@@ -277,6 +305,9 @@ def main(argv=None):
               % (name, row['reference']['mips'], row['fast']['mips'],
                  row['speedup'], row['nt_spawned'],
                  100.0 * row['split']['nt_instret_share']))
+    short = payload['short_runs']
+    print('%-14s ref=%6.2f ms/run  fast=%6.2f ms/run  (report only)'
+          % ('short_runs', short['reference']['ms'], short['fast']['ms']))
     if args.json:
         with open(args.json, 'w') as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

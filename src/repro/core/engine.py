@@ -324,17 +324,15 @@ class PathExpanderEngine:
         self._in_nt = True
         self._nt_forced_edges.clear()
 
-        reason = NTPathTermination.LENGTH
-        step = interp.step_fast
         started = perf_counter()
         try:
-            while core.instret < nt_limit:
-                event = step()
-                if event is not None:
-                    reason = (NTPathTermination.UNSAFE
-                              if event == 'unsafe'
-                              else NTPathTermination.OVERFLOW)
-                    break
+            event = interp.drive_nt(nt_limit)
+            if event is None:
+                reason = NTPathTermination.LENGTH
+            elif event == 'unsafe':
+                reason = NTPathTermination.UNSAFE
+            else:
+                reason = NTPathTermination.OVERFLOW
         except SimFault:
             reason = NTPathTermination.CRASH
         except ProgramExit:

@@ -8,13 +8,14 @@ inherits unchanged.  Every opcode is therefore defined twice: once in
 **Tiered basic-block compilation.** Straight-line runs (see
 :func:`repro.isa.cfg.basic_runs`) can be compiled into a single
 closure that executes the whole run in one call and retires its
-cycles/instret in one update.  ``step_fast()`` and ``drive_taken()``
-dispatch through one block table, serving the taken path and NT-paths
-alike, that starts with a cheap counting stub at each run leader; the
-stub executes the leader on the reference ``step`` and, after
-``_PROMOTE_AFTER`` entries from either path, compiles *that run
-alone* (one small generated source, one ``compile()``), runs it with
-``exec`` in the table's namespace and replaces itself with the block.
+cycles/instret in one update.  One drive loop (``drive_nt()``, also
+bound as ``drive_taken()``) dispatches through one block table,
+serving the taken path and NT-paths alike.  The table starts with a
+cheap counting stub at each run leader; the stub executes the leader
+on the reference ``step`` and, after ``_PROMOTE_AFTER`` entries from
+either path, compiles *that run alone* (one small generated source,
+one ``compile()``), runs it with ``exec`` in the table's namespace
+and replaces itself with the block.
 Compiled code objects are memoised on the :class:`Program`
 (``Program.block_memo``), keyed by the :class:`_BlockCompiler` variant
 key and the leader, so each later run of the same program and variant
@@ -517,8 +518,9 @@ class _BlockCompiler:
 class FastInterpreter(Interpreter):
     """Drop-in replacement for :class:`Interpreter` (same contract).
 
-    ``step`` is the inherited reference step; only ``step_fast`` and
-    ``drive_taken`` differ, dispatching through the block table.
+    ``step`` is the inherited reference step; only the drive loop
+    (``drive_taken`` and ``drive_nt``) differs, dispatching through the
+    block table.
     """
 
     __slots__ = ('_n', '_fast', 'block_compile_failed', 'block_count',
@@ -555,52 +557,44 @@ class FastInterpreter(Interpreter):
     # A table slot holds a block, a counting stub, or None; None (cold
     # or unfusable code) and out-of-range PCs run the reference step.
 
-    def step_fast(self):
-        """Execute one fused basic block (or one instruction).
-
-        Serves the taken path and NT-paths from the same table: blocks
-        test ``in_nt_path`` and the active journal at run time, and
-        honour the NT instret budget that ``enter_nt`` installs.
-        """
-        if self._fault_hook is not None:
-            self._fault_hook()
-        table = self._fast
-        if table is None:
-            table = self._build_fast_table()
+    def _step_chaos(self):
+        """Poll the injection hook, then dispatch once (chaos runs)."""
+        self._fault_hook()
         pc = self.core.pc
-        if 0 <= pc < self._n:
-            fn = table[pc]
-            if fn is not None:
-                return fn()
-        return Interpreter.step(self)
+        fn = self._fast[pc] if 0 <= pc < self._n else None
+        return Interpreter.step(self) if fn is None else fn()
 
-    def drive_taken(self, limit):
-        """Taken-path main loop over the block table.
+    def drive_nt(self, limit):
+        """The reference ``drive_nt`` loop over the block table.
 
-        Inlines ``step_fast``'s dispatch (the per-call wrapper is a
-        measurable share of monitored-run time).  NT-paths spawned by
-        the branch callback run to completion inside the dispatched
-        closure, so ``in_nt_path`` is always False at this level.
+        Serves the taken path and NT-paths alike (see
+        ``Interpreter.drive_taken``): blocks test ``in_nt_path`` and
+        the active journal at run time, and honour the NT instret
+        budget that ``enter_nt`` installs.  The dispatch is inlined,
+        as a per-dispatch call is a measurable share of run time.
         """
         core = self.core
-        if self._fault_hook is not None:
-            # Chaos variant: step_fast polls the injection hook.
-            step_fast = self.step_fast
-            while core.instret < limit:
-                step_fast()
-            return
         table = self._fast
         if table is None:
             table = self._build_fast_table()
+        if self._fault_hook is not None:
+            step = self._step_chaos
+            while core.instret < limit:
+                event = step()
+                if event is not None:
+                    return event
+            return None
         n = self._n
         ref_step = Interpreter.step
         while core.instret < limit:
             pc = core.pc
             fn = table[pc] if 0 <= pc < n else None
-            if fn is None:
-                ref_step(self)
-            else:
-                fn()
+            event = ref_step(self) if fn is None else fn()
+            if event is not None:
+                return event
+        return None
+
+    drive_taken = drive_nt
 
     # ------------------------------------------------------------------
     # basic-block closure compilation

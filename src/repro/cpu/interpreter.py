@@ -1,9 +1,11 @@
 """The execution core: instruction semantics + cost accounting.
 
-The interpreter executes one instruction per :meth:`Interpreter.step`.
-PathExpander's engines own the fetch loop; they observe branches through
-the ``on_branch`` callback (where NT-path spawning decisions are made)
-and NT-path-terminating conditions through the step return value:
+The interpreter executes one instruction per :meth:`Interpreter.step`;
+:meth:`Interpreter.drive_taken` and :meth:`Interpreter.drive_nt` loop
+over it up to an instruction budget.  PathExpander's engines observe
+branches through the ``on_branch`` callback (where NT-path spawning
+decisions are made) and NT-path-terminating conditions through the
+step return value, which ``drive_nt`` passes on:
 
 * ``None``      -- normal completion
 * ``'unsafe'``  -- a syscall was reached in NT-path mode; it was *not*
@@ -97,6 +99,8 @@ class Interpreter:
     def step(self):
         core = self.core
         pc = core.pc
+        if pc < 0:                 # code[pc] would wrap to the end
+            raise SimFault(FaultKind.BAD_JUMP, 'pc=%d' % pc)
         try:
             instr = self.code[pc]
         except IndexError:
@@ -116,7 +120,12 @@ class Interpreter:
         cost = self._cost[op]
         event = None
 
-        if op == 'ld':
+        # Most frequent opcodes first (the dynamic mix of the paper's
+        # short runs): every arm ahead of an opcode is a failed test.
+        if op == 'li':
+            regs[instr.a] = instr.b
+            core.pc = pc + 1
+        elif op == 'ld':
             addr = regs[instr.b] + instr.c
             value = self.memory.read(addr)
             regs[instr.a] = value
@@ -127,6 +136,9 @@ class Interpreter:
                 cost += self.costs.l1_hit
             if self.detector is not None:
                 cost += self.detector.on_load(addr, value, self)
+            core.pc = pc + 1
+        elif op == 'mov':
+            regs[instr.a] = regs[instr.b]
             core.pc = pc + 1
         elif op == 'st':
             addr = regs[instr.b] + instr.c
@@ -152,11 +164,53 @@ class Interpreter:
             if self.on_branch is not None:
                 self.on_branch(pc, taken, instr)
             return None
-        elif op == 'li':
-            regs[instr.a] = instr.b
+        elif op == 'jmp':
+            core.pc = instr.a
+        elif op == 'add':
+            regs[instr.a] = regs[instr.b] + regs[instr.c]
             core.pc = pc + 1
-        elif op == 'mov':
-            regs[instr.a] = regs[instr.b]
+        elif op == 'push':
+            sp = regs[Reg.SP] - 1
+            if sp < self.memory.stack_limit:
+                raise SimFault(FaultKind.STACK_OVERFLOW, 'sp=%d' % sp)
+            regs[Reg.SP] = sp
+            self.memory.write(sp, regs[instr.a])
+            core.pc = pc + 1
+        elif op == 'pop':
+            sp = regs[Reg.SP]
+            regs[instr.a] = self.memory.read(sp)
+            regs[Reg.SP] = sp + 1
+            core.pc = pc + 1
+        elif op == 'ret':
+            sp = regs[Reg.SP]
+            core.pc = self.memory.read(sp)
+            regs[Reg.SP] = sp + 1
+            core.call_depth -= 1
+        elif op == 'call':
+            if core.call_depth >= core.MAX_CALL_DEPTH:
+                raise SimFault(FaultKind.CALL_DEPTH, 'pc=%d' % pc)
+            sp = regs[Reg.SP] - 1
+            if sp < self.memory.stack_limit:
+                raise SimFault(FaultKind.STACK_OVERFLOW, 'sp=%d' % sp)
+            regs[Reg.SP] = sp
+            self.memory.write(sp, pc + 1)
+            core.call_depth += 1
+            core.pc = instr.a
+        elif op in ('seq', 'sne', 'slt', 'sge', 'sle', 'sgt'):
+            lhs = regs[instr.b]
+            rhs = regs[instr.c]
+            if op == 'seq':
+                regs[instr.a] = 1 if lhs == rhs else 0
+            elif op == 'sne':
+                regs[instr.a] = 1 if lhs != rhs else 0
+            elif op == 'slt':
+                regs[instr.a] = 1 if lhs < rhs else 0
+            elif op == 'sge':
+                regs[instr.a] = 1 if lhs >= rhs else 0
+            elif op == 'sle':
+                regs[instr.a] = 1 if lhs <= rhs else 0
+            else:
+                regs[instr.a] = 1 if lhs > rhs else 0
             core.pc = pc + 1
         elif op == 'addi':
             value = regs[instr.b] + instr.c
@@ -164,14 +218,31 @@ class Interpreter:
             if instr.a == Reg.SP and value < self.memory.stack_limit:
                 raise SimFault(FaultKind.STACK_OVERFLOW, 'sp=%d' % value)
             core.pc = pc + 1
-        elif op == 'add':
-            regs[instr.a] = regs[instr.b] + regs[instr.c]
-            core.pc = pc + 1
         elif op == 'sub':
             regs[instr.a] = regs[instr.b] - regs[instr.c]
             core.pc = pc + 1
+        elif op == 'syscall':
+            if self.in_nt_path and not self.sandbox_unsafe:
+                # Unsafe event: do not perform; the engine squashes.
+                return 'unsafe'
+            event = self._do_syscall(instr.a, regs)
         elif op == 'mul':
             regs[instr.a] = regs[instr.b] * regs[instr.c]
+            core.pc = pc + 1
+        elif op == 'assert':
+            if regs[instr.a] == 0 and self.detector is not None:
+                cost += self.detector.on_assert_fail(instr.b, pc, self)
+            core.pc = pc + 1
+        elif op == 'mod':
+            divisor = regs[instr.c]
+            if divisor == 0:
+                raise SimFault(FaultKind.DIV_ZERO, 'pc=%d' % pc)
+            value = regs[instr.b]
+            remainder = abs(value) % abs(divisor)
+            regs[instr.a] = -remainder if value < 0 else remainder
+            core.pc = pc + 1
+        elif op == 'and':
+            regs[instr.a] = regs[instr.b] & regs[instr.c]
             core.pc = pc + 1
         elif op == 'div':
             divisor = regs[instr.c]
@@ -183,32 +254,19 @@ class Interpreter:
                 quotient = -quotient
             regs[instr.a] = quotient
             core.pc = pc + 1
-        elif op == 'mod':
-            divisor = regs[instr.c]
-            if divisor == 0:
-                raise SimFault(FaultKind.DIV_ZERO, 'pc=%d' % pc)
-            value = regs[instr.b]
-            remainder = abs(value) % abs(divisor)
-            regs[instr.a] = -remainder if value < 0 else remainder
+        elif op == 'halt':
+            raise ProgramExit(0)
+        elif op == 'malloc':
+            base = self.allocator.malloc(regs[instr.b])
+            regs[instr.a] = base
+            if self.detector is not None:
+                self.detector.on_alloc(base, regs[instr.b], self)
             core.pc = pc + 1
-        elif op in ('slt', 'sle', 'seq', 'sne', 'sgt', 'sge'):
-            lhs = regs[instr.b]
-            rhs = regs[instr.c]
-            if op == 'slt':
-                regs[instr.a] = 1 if lhs < rhs else 0
-            elif op == 'sle':
-                regs[instr.a] = 1 if lhs <= rhs else 0
-            elif op == 'seq':
-                regs[instr.a] = 1 if lhs == rhs else 0
-            elif op == 'sne':
-                regs[instr.a] = 1 if lhs != rhs else 0
-            elif op == 'sgt':
-                regs[instr.a] = 1 if lhs > rhs else 0
-            else:
-                regs[instr.a] = 1 if lhs >= rhs else 0
-            core.pc = pc + 1
-        elif op == 'and':
-            regs[instr.a] = regs[instr.b] & regs[instr.c]
+        elif op == 'free':
+            addr = regs[instr.a]
+            ok = self.allocator.free(addr)
+            if self.detector is not None:
+                cost += self.detector.on_free(addr, ok, self)
             core.pc = pc + 1
         elif op == 'or':
             regs[instr.a] = regs[instr.b] | regs[instr.c]
@@ -222,58 +280,6 @@ class Interpreter:
         elif op == 'shr':
             regs[instr.a] = regs[instr.b] >> (regs[instr.c] & _SHIFT_MASK)
             core.pc = pc + 1
-        elif op == 'jmp':
-            core.pc = instr.a
-        elif op == 'call':
-            if core.call_depth >= core.MAX_CALL_DEPTH:
-                raise SimFault(FaultKind.CALL_DEPTH, 'pc=%d' % pc)
-            sp = regs[Reg.SP] - 1
-            if sp < self.memory.stack_limit:
-                raise SimFault(FaultKind.STACK_OVERFLOW, 'sp=%d' % sp)
-            regs[Reg.SP] = sp
-            self.memory.write(sp, pc + 1)
-            core.call_depth += 1
-            core.pc = instr.a
-        elif op == 'ret':
-            sp = regs[Reg.SP]
-            core.pc = self.memory.read(sp)
-            regs[Reg.SP] = sp + 1
-            core.call_depth -= 1
-        elif op == 'push':
-            sp = regs[Reg.SP] - 1
-            if sp < self.memory.stack_limit:
-                raise SimFault(FaultKind.STACK_OVERFLOW, 'sp=%d' % sp)
-            regs[Reg.SP] = sp
-            self.memory.write(sp, regs[instr.a])
-            core.pc = pc + 1
-        elif op == 'pop':
-            sp = regs[Reg.SP]
-            regs[instr.a] = self.memory.read(sp)
-            regs[Reg.SP] = sp + 1
-            core.pc = pc + 1
-        elif op == 'syscall':
-            if self.in_nt_path and not self.sandbox_unsafe:
-                # Unsafe event: do not perform; the engine squashes.
-                return 'unsafe'
-            event = self._do_syscall(instr.a, regs)
-        elif op == 'assert':
-            if regs[instr.a] == 0 and self.detector is not None:
-                cost += self.detector.on_assert_fail(instr.b, pc, self)
-            core.pc = pc + 1
-        elif op == 'malloc':
-            base = self.allocator.malloc(regs[instr.b])
-            regs[instr.a] = base
-            if self.detector is not None:
-                self.detector.on_alloc(base, regs[instr.b], self)
-            core.pc = pc + 1
-        elif op == 'free':
-            addr = regs[instr.a]
-            ok = self.allocator.free(addr)
-            if self.detector is not None:
-                cost += self.detector.on_free(addr, ok, self)
-            core.pc = pc + 1
-        elif op == 'halt':
-            raise ProgramExit(0)
         elif op == 'nop':
             core.pc = pc + 1
         else:                                    # pragma: no cover
@@ -283,26 +289,27 @@ class Interpreter:
         core.instret += 1
         return event
 
-    # The engines' main loops call ``step_fast``; the fast backend
-    # overrides it with basic-block dispatch, the reference backend
-    # steps one instruction at a time.
-    step_fast = step
+    def drive_nt(self, limit):
+        """Step until ``core.instret >= limit`` or an NT-path event.
 
-    def drive_taken(self, limit):
-        """Run the taken path until ``core.instret >= limit``.
-
-        Returns only at the instruction budget (the engine marks the
-        run truncated); program end and faults propagate as
-        exceptions.  Step return values need no inspection here:
-        ``'unsafe'``/``'overflow'`` can only occur inside NT-paths,
-        which the branch callback runs to completion before
-        returning.  The fast backend overrides this with a loop over
-        its block table.
+        Returns the event that ends an NT-path early (``'unsafe'`` or
+        ``'overflow'``), or None at the budget; program end and faults
+        propagate as exceptions.  The fast backend overrides this with
+        a loop over its block table.
         """
         core = self.core
         step = self.step
         while core.instret < limit:
-            step()
+            event = step()
+            if event is not None:
+                return event
+        return None
+
+    # The taken path shares the loop and always runs to its budget
+    # (the engine then marks the run truncated): both events need
+    # ``in_nt_path``, and the branch callback runs each NT-path to
+    # completion before it returns.
+    drive_taken = drive_nt
 
     def release(self):
         """Drop the engine's branch callback, a bound method whose cycle

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from repro.core.errors import CheckpointCorruption
 
-_MIX = 0x9E3779B97F4A7C15  # golden-ratio odd constant (order-sensitive mix)
-_MASK = (1 << 64) - 1
-
 
 class Checkpoint:
     """Everything needed to resume the taken path after a squash.
@@ -39,11 +36,10 @@ class Checkpoint:
         self.checksum = 0
 
     def _compute_checksum(self):
-        acc = (self.pc * _MIX + self.call_depth) & _MASK
-        acc = (acc * _MIX + self.lcg_state + self.pred) & _MASK
-        for value in self.regs:
-            acc = (acc * _MIX + value) & _MASK
-        return acc
+        # Tuple hashing is order-sensitive and runs in C, and it is
+        # deterministic for ints, so restore can recompute it exactly.
+        return hash((self.pc, self.pred, self.call_depth,
+                     self.lcg_state, *self.regs))
 
     def capture(self, core):
         self.regs[:] = core.regs

@@ -15,6 +15,8 @@ survive the rollback.
 
 from __future__ import annotations
 
+import gc
+
 from repro.core.errors import JournalError
 from repro.cpu.exceptions import FaultKind, SimFault
 
@@ -40,6 +42,17 @@ class MainMemory:
             globals_size = NULL_GUARD
         self.size = size
         self.cells = [0] * size
+        # The image is one huge tracked container, and the next
+        # generation-0 and generation-1 collections would each walk all
+        # of its slots (about 7 ms per pass at 1M words): most of a
+        # short run's fixed cost.  freeze() + unfreeze() moves every
+        # tracked object into the oldest generation in O(1).  A caller
+        # that froze its heap (before a fork, say) or turned the
+        # collector off is left alone.  The image is still freed by
+        # reference counting when its run ends.
+        if gc.isenabled() and gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
         self.monitor_base = globals_size
         self.monitor_limit = globals_size + MONITOR_AREA_WORDS
         self.heap_base = self.monitor_limit
@@ -105,11 +118,13 @@ class MainMemory:
             raise SimFault(FaultKind.MEM_OOB, 'address %d' % addr, addr=addr)
 
     def read(self, addr):
-        self._check(addr)
+        if addr < NULL_GUARD or addr >= self.size:
+            self._check(addr)
         return self.cells[addr]
 
     def write(self, addr, value):
-        self._check(addr)
+        if addr < NULL_GUARD or addr >= self.size:
+            self._check(addr)
         journal = self._journal
         if journal is not None and addr not in journal \
                 and not (self.monitor_base <= addr < self.monitor_limit):

@@ -3,6 +3,8 @@ syscalls, timing."""
 
 import pytest
 
+from repro.core.config import BACKEND_CHOICES, PathExpanderConfig
+from repro.core.runner import run_program
 from repro.cpu.exceptions import FaultKind, ProgramExit, SimFault
 from repro.cpu.interpreter import Interpreter
 from repro.cpu.state import Core
@@ -205,6 +207,26 @@ class TestControlFlow:
         with pytest.raises(SimFault) as excinfo:
             interp.step()
         assert excinfo.value.kind == FaultKind.BAD_JUMP
+
+    def test_negative_pc_faults_on_both_backends(self):
+        # ret to address -1: the fetch must fault, not wrap around to
+        # code[-1] (the halt) and exit cleanly.
+        builder = ProgramBuilder('t')
+        builder.func('main')
+        builder.emit('li', 8, -1)
+        builder.emit('push', 8)
+        builder.emit('ret')
+        builder.emit('halt')
+        program = builder.build()
+        results = {}
+        for backend in BACKEND_CHOICES:
+            config = PathExpanderConfig(mode='baseline', backend=backend)
+            results[backend] = run_program(program,
+                                           config=config).to_dict()
+        assert results['fast'] == results['reference']
+        assert results['reference']['crashed']
+        assert results['reference']['crash_kind'] == FaultKind.BAD_JUMP
+        assert results['reference']['exit_code'] is None
 
 
 class TestPredication:

@@ -4,7 +4,7 @@ The system-level guarantee (byte-identical results on real apps) lives
 in ``test_backend_equivalence.py``; this file pins down the individual
 mechanisms: every opcode's block emitter against the reference step,
 block fusion, budget-aware truncation, mid-block fault flushing,
-predicated handling, the out-of-range-PC quirk, every fallback path,
+predicated handling, out-of-range PCs, every fallback path,
 tiered promotion and the per-Program code memo.
 """
 
@@ -21,6 +21,7 @@ from repro.core.runner import run_program
 import repro.cpu.backend as backend_mod
 import repro.cpu.fastinterp as fastinterp
 from repro.cpu.backend import make_interpreter
+from repro.cpu.exceptions import ProgramExit, SimFault
 from repro.cpu.fastinterp import FastInterpreter, _BlockCompiler
 from repro.cpu.interpreter import Interpreter
 from repro.isa.cfg import (BLOCK_OPS, FUSEABLE_OPS, TERMINATOR_OPS,
@@ -331,6 +332,91 @@ class TestNTBlocks:
             assert len(program.block_memo) == 1
 
 
+# NT-side bodies (code from index 8 of ``_nt_program``), each ending
+# its NT-paths one way, keyed by the drive_nt outcome they produce: the
+# returned event, or the class name of the exception it propagates.
+_NT_ENDINGS = {
+    None: ([Instr('li', 4, 0), Instr('add', 4, 4, 1),       # length
+            Instr('jmp', 9)], {'max_nt_path_length': 12}),
+    'overflow': ([Instr('li', 5, 1000), Instr('st', 1, 5, 0),
+                  Instr('addi', 5, 5, 16), Instr('jmp', 9)],
+                 {'l1_size_bytes': 512, 'l1_ways': 2}),
+    'unsafe': ([Instr('li', Reg.A1, 7),
+                Instr('syscall', Syscall.PRINT_INT),
+                Instr('halt')], {}),
+    'SimFault': ([Instr('li', 4, 3), Instr('div', 5, 4, 9),  # r9 == 0
+                  Instr('halt')], {}),
+    'ProgramExit': ([Instr('halt')], {}),
+}
+
+
+class TestDriveNT:
+    """``drive_nt`` ends each NT-path the same way on both backends."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Wrap both backends' ``drive_nt``; each NT-path appends its
+        outcome and the instret it stopped at."""
+        outcomes = []
+        for cls in (Interpreter, FastInterpreter):
+            def recording(self, limit, drive=cls.drive_nt):
+                try:
+                    event = drive(self, limit)
+                except (SimFault, ProgramExit) as exc:
+                    outcomes.append((type(exc).__name__,
+                                     self.core.instret))
+                    raise
+                outcomes.append((event, self.core.instret))
+                return event
+            monkeypatch.setattr(cls, 'drive_nt', recording)
+        return outcomes
+
+    @pytest.mark.parametrize('after', _OPCODE_THRESHOLDS)
+    @pytest.mark.parametrize('ending', list(_NT_ENDINGS))
+    def test_same_ending_at_same_instret(self, monkeypatch, ending,
+                                         after):
+        monkeypatch.setattr(fastinterp, '_PROMOTE_AFTER', after)
+        body, overrides = _NT_ENDINGS[ending]
+        program = _nt_program(body, trips=40)
+        recorded = self._record(monkeypatch)
+        outcomes = {}
+        for backend in BACKEND_CHOICES:
+            config = PathExpanderConfig(mode='standard', backend=backend,
+                                        **overrides)
+            run_program(program, config=config)
+            outcomes[backend] = recorded[:]
+            del recorded[:]
+        assert outcomes['fast'] == outcomes['reference']
+        assert ending in {outcome for outcome, _ in outcomes['fast']}
+
+    @pytest.mark.parametrize('after', [1, float('inf')])
+    def test_chaos_variant_polls_once_per_dispatch(self, monkeypatch,
+                                                   after):
+        monkeypatch.setattr(fastinterp, '_PROMOTE_AFTER', after)
+        body, overrides = _NT_ENDINGS[None]
+        expected = _engine(_nt_program(body), mode='standard',
+                           **overrides).run().to_dict()
+        engine = _engine(_nt_program(body), mode='standard', **overrides)
+        interp = engine.interp
+        nt_polls = []
+
+        def hook():
+            if interp.in_nt_path:
+                nt_polls.append(interp.core.pc)
+        interp._fault_hook = hook
+        data = engine.run().to_dict()
+        assert data == expected
+        # Each NT-path that falls into halt polls once and retires
+        # nothing; every other dispatch retires at least one
+        # instruction, exactly one when nothing is ever compiled.
+        dispatches = data['instret_nt'] \
+            + data['nt_terminations'].get('program_end', 0)
+        if after == 1:
+            assert data['nt_spawned'] <= len(nt_polls) < dispatches
+        else:
+            assert len(nt_polls) == dispatches
+
+
 def _memory_block_program():
     """A loop of fused loads and stores, so detector and cache hooks
     are part of its blocks."""
@@ -461,13 +547,17 @@ class TestDispatchEdges:
                          max_nt_path_length=16)
         assert data['nt_spawned'] > 0
 
-    def test_negative_pc_quirk_matches_reference(self):
-        # jmp -1 indexes code[-1] in the reference backend (Python
-        # negative indexing); the fast backend must reproduce that.
-        code = [Instr('jmp', -1), Instr('li', 1, 3), Instr('halt')]
-        data = _run_both(_prog(code))
-        assert data['exit_code'] == 0
-        assert not data['crashed']
+    def test_negative_pc_faults_on_both_backends(self, monkeypatch):
+        # jmp -1 (fused at threshold 1) parks core.pc at -1; the next
+        # fetch must fault, not wrap to code[-1] (Python negative
+        # indexing).
+        for after in _OPCODE_THRESHOLDS:
+            monkeypatch.setattr(fastinterp, '_PROMOTE_AFTER', after)
+            code = [Instr('jmp', -1), Instr('li', 1, 3), Instr('halt')]
+            data = _run_both(_prog(code))
+            assert data['crashed']
+            assert data['crash_kind'] == 'bad_jump'
+            assert data['exit_code'] is None
 
     def test_malloc_free_take_reference_fallback(self):
         code = [Instr('li', 1, 4),

@@ -1,5 +1,7 @@
 """Unit tests for memory, allocator, cache and checkpointing."""
 
+import gc
+
 import pytest
 
 from repro.cpu.exceptions import FaultKind, SimFault
@@ -86,6 +88,41 @@ class TestMainMemory:
         mem = MainMemory(size=4096, globals_size=64)
         mem.store_string(200, 'hello')
         assert mem.load_string(200) == 'hello'
+
+
+def _in_generation(obj, generation):
+    return any(other is obj
+               for other in gc.get_objects(generation=generation))
+
+
+class TestImagePromotion:
+    """A new memory image goes straight to the oldest GC generation,
+    so no young collection walks its slots, unless the caller froze
+    its heap or turned the collector off."""
+
+    def test_image_lands_in_oldest_generation(self):
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        mem = MainMemory(size=4096, globals_size=64)
+        assert _in_generation(mem.cells, 2)
+
+    def test_frozen_heap_stays_frozen(self):
+        gc.collect()          # no collection during the construction
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            mem = MainMemory(size=4096, globals_size=64)
+            assert gc.get_freeze_count() == frozen
+            assert not _in_generation(mem.cells, 2)
+        finally:
+            gc.unfreeze()
+
+    def test_disabled_collector_promotes_nothing(self):
+        gc.disable()
+        try:
+            mem = MainMemory(size=4096, globals_size=64)
+            assert _in_generation(mem.cells, 0)
+        finally:
+            gc.enable()
 
 
 class TestAllocator:
