@@ -31,7 +31,9 @@ equivalence invariant"):
 
 * fused blocks fire cache and detector hooks per instruction, in
   reference order, with ``core.pc`` parked on the hooked instruction,
-  and contain no call, return or syscall;
+  and contain no call, return or syscall; a load/store hook is skipped
+  for a word the detector's shadow marks legal (its ``legal_cost`` is
+  static) and not emitted for a detector that overrides neither;
 * a faulting instruction inside a block (``div`` by zero, stack
   overflow) first flushes the cycles/instret of the instructions
   already executed and restores the faulting PC, reproducing the
@@ -63,6 +65,7 @@ from __future__ import annotations
 from repro.cpu.exceptions import FaultKind, SimFault
 from repro.cpu.interpreter import Interpreter
 from repro.cpu.timing import PREDICATED_SKIP_COST
+from repro.detectors.base import Detector
 from repro.isa.cfg import BLOCK_OPS, basic_runs
 from repro.isa.instructions import Reg
 from repro.memory.main_memory import NULL_GUARD, MainMemory
@@ -165,7 +168,16 @@ class _BlockCompiler:
     def __init__(self, interp):
         self.interp = interp
         self.cost = interp._cost
-        self.has_det = interp.detector is not None
+        det = interp.detector
+        self.has_det = det is not None
+        # Load/store hooks: none for a detector that overrides neither
+        # (looked up now: a tracer may wrap the base methods); with a
+        # shadow, only for words it does not mark legal.
+        self.hooks = self.has_det and not (
+            getattr(type(det), 'on_load', None) is Detector.on_load
+            and getattr(type(det), 'on_store', None) is Detector.on_store)
+        self.shadow = getattr(det, 'shadow', None) if self.hooks else None
+        self.legal_cost = det.legal_cost if self.shadow is not None else 0
         self.has_cache = interp.cache is not None
         self.l1_hit = interp.costs.l1_hit
         # Plain MainMemory accesses can be inlined (bounds guard + list
@@ -188,7 +200,8 @@ class _BlockCompiler:
         # constants bound above; code memoised on the Program is keyed
         # by this tuple (plus the leader), so any constant added above
         # must be added here too.
-        self.variant = (self.has_det, self.has_cache, self.l1_hit,
+        self.variant = (self.has_det, self.hooks, self.shadow is None,
+                        self.legal_cost, self.has_cache, self.l1_hit,
                         self.inline_read, self.line_shift,
                         self.cache_hit, tuple(sorted(self.cost.items())))
 
@@ -336,6 +349,14 @@ class _BlockCompiler:
                 '    _jl[_a] = _cells[_a]',
                 '    _cells[_a] = _v']
 
+    def _hook_lines(self, pc, hook):
+        """Source calling detector ``hook`` for the access at ``_a``."""
+        lines = ['core.pc = %d' % pc, '_cy += %s(_a, _v, _interp) - %d'
+                 % (hook, self.legal_cost)]
+        if self.shadow is None:
+            return lines
+        return ['if not _sh[_a]:'] + ['    ' + line for line in lines]
+
     def _emit(self, instr, pc, leader):
         op, a, b, c = instr.op, instr.a, instr.b, instr.c
         index = pc - leader     # block position: the fault flush's _i
@@ -414,9 +435,9 @@ class _BlockCompiler:
                 cy = True
             else:
                 static += self.l1_hit
-            if self.has_det:
-                lines.append('core.pc = %d' % pc)
-                lines.append('_cy += _dl(_a, _v, _interp)')
+            if self.hooks:
+                lines.extend(self._hook_lines(pc, '_dl'))
+                static += self.legal_cost
                 cy = True
             return _Emitted(lines, static, risky=True, cy=cy,
                             cache=self.has_cache)
@@ -476,9 +497,9 @@ class _BlockCompiler:
             else:
                 lines.extend(self._write_lines())
                 static += self.l1_hit
-            if self.has_det:
-                lines.append('core.pc = %d' % pc)
-                lines.append('_cy += _ds(_a, _v, _interp)')
+            if self.hooks:
+                lines.extend(self._hook_lines(pc, '_ds'))
+                static += self.legal_cost
                 cy = True
             return _Emitted(lines, static, risky=True, cy=cy,
                             cache=self.has_cache)
@@ -639,9 +660,10 @@ class FastInterpreter(Interpreter):
                              _mem=memory, _jl=memory.nt_journal,
                              _mb=memory.monitor_base,
                              _ml=memory.monitor_limit)
-        if self.detector is not None:
-            namespace['_dl'] = self.detector.on_load
-            namespace['_ds'] = self.detector.on_store
+        if compiler.hooks:
+            namespace.update(_dl=self.detector.on_load,
+                             _ds=self.detector.on_store,
+                             _sh=compiler.shadow)
         filename = '<fastblocks:%s>' % self.program.name
 
         def promote(leader, count, terminator):

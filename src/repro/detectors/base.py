@@ -63,9 +63,16 @@ class ReportKind:
 
 
 class Detector:
-    """Base class; hooks return the cycle cost of the check."""
+    """Base class; hooks return the cycle cost of the check.
+
+    ``attach`` may set ``shadow``, a per-word array: on a word with a
+    nonzero byte ``on_load``/``on_store`` only return ``legal_cost``,
+    so compiled blocks call them for the other words alone.
+    """
 
     name = 'none'
+    shadow = None
+    legal_cost = 0
 
     def __init__(self):
         self.reports = []

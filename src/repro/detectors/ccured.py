@@ -4,7 +4,10 @@ Models the dynamic half of CCured [27]: every load and store is guarded
 by an inserted software check.  The check costs
 ``check_cost`` cycles, which is what makes CCured a *software* tool in
 the overhead comparison; the detection power is the interval/red-zone
-logic shared with iWatcher (see ``memcheck.py``).
+logic shared with iWatcher (see ``memcheck.py``).  A word the shadow
+marks legal costs the check and nothing else, so the fast backend's
+blocks charge ``legal_cost`` inline and call the hooks only for the
+other words.
 """
 
 from __future__ import annotations
@@ -22,53 +25,31 @@ class CCuredDetector(Detector):
         self.check_cost = check_cost
         self.free_check_cost = free_check_cost
         self._logic = None
-        self.checks_performed = 0
-        # Single-entry classification memo for addresses outside the
-        # heap region: globals layout and region bounds are fixed for
-        # the run, so their classification never changes and a hot
-        # loop touching one word costs two compares, not a classify.
-        # Heap addresses are never memoised (malloc/free move them
-        # between object/red-zone/freed states).
-        self._memo_addr = None
-        self._memo_kind = None
-        self._heap_base = 0
-        self._stack_limit = 0
+
+    @property
+    def legal_cost(self):
+        return self.check_cost
 
     def attach(self, program, memory, allocator):
         self._logic = MemoryCheckLogic(program, memory, allocator)
-        self._heap_base = allocator.heap_base
-        self._stack_limit = memory.stack_limit
+        self.shadow = self._logic.shadow
 
     def on_load(self, addr, value, interp):
-        self.checks_performed += 1
-        if addr == self._memo_addr:
-            kind = self._memo_kind
-        else:
-            kind = self._logic.classify(addr)
-            if not self._heap_base <= addr < self._stack_limit:
-                self._memo_addr = addr
-                self._memo_kind = kind
-        if kind is not None \
-                and (kind, interp.core.pc) not in self._seen_sites:
-            self._report_access(kind, interp, 'load', addr)
+        if not self.shadow[addr]:
+            self._check(addr, interp, 'load')
         return self.check_cost
 
     def on_store(self, addr, value, interp):
-        self.checks_performed += 1
-        if addr == self._memo_addr:
-            kind = self._memo_kind
-        else:
-            kind = self._logic.classify(addr)
-            if not self._heap_base <= addr < self._stack_limit:
-                self._memo_addr = addr
-                self._memo_kind = kind
-        if kind is not None \
-                and (kind, interp.core.pc) not in self._seen_sites:
-            self._report_access(kind, interp, 'store', addr)
+        if not self.shadow[addr]:
+            self._check(addr, interp, 'store')
         return self.check_cost
 
+    def _check(self, addr, interp, op):
+        kind = self._logic.classify(addr)
+        if kind is not None:
+            self._report_access(kind, interp, op, addr)
+
     def on_free(self, addr, ok, interp):
-        self.checks_performed += 1
         if not ok:
             self._report(ReportKind.INVALID_FREE, interp,
                          detail='free(%d)' % addr, mem_addr=addr)

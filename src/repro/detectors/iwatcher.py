@@ -5,6 +5,9 @@ hardware triggers the check only when a watched word is touched, so
 untriggered accesses are free.  We watch the same illegal intervals the
 CCured model checks (red zones, freed objects, global gaps), but the
 cost model is hardware-like: zero cycles unless a watchpoint fires.
+The shadow (see ``memcheck.py``) plays the watch table: a word it marks
+legal returns at once, and the fast backend's blocks do not call the
+hooks for it at all.
 """
 
 from __future__ import annotations
@@ -22,26 +25,15 @@ class IWatcherDetector(Detector):
         self.trigger_cost = trigger_cost
         self._logic = None
         self.triggers = 0
-        # Non-heap classification memo; see CCuredDetector for the
-        # safety argument (heap addresses are never memoised).
-        self._memo_addr = None
-        self._memo_kind = None
-        self._heap_base = 0
-        self._stack_limit = 0
 
     def attach(self, program, memory, allocator):
         self._logic = MemoryCheckLogic(program, memory, allocator)
-        self._heap_base = allocator.heap_base
-        self._stack_limit = memory.stack_limit
+        self.shadow = self._logic.shadow
 
     def _check(self, addr, interp, op):
-        if addr == self._memo_addr:
-            kind = self._memo_kind
-        else:
-            kind = self._logic.classify(addr)
-            if not self._heap_base <= addr < self._stack_limit:
-                self._memo_addr = addr
-                self._memo_kind = kind
+        if self.shadow[addr]:
+            return 0
+        kind = self._logic.classify(addr)
         if kind is None:
             return 0
         self.triggers += 1

@@ -4,7 +4,8 @@ The allocator serves the ``malloc``/``free`` instructions.  Every
 object is surrounded by ``RED_ZONE`` guard words; the guard intervals
 and the object liveness table are what the CCured-style and
 iWatcher-style checkers consult to classify accesses (Purify-style
-interval checking -- see DESIGN.md for the fidelity note).
+interval checking -- see DESIGN.md for the fidelity note), and the
+heap words of a checker's shadow array are kept exact here.
 
 Allocator state is small and snapshot-able, so the PathExpander sandbox
 can roll heap metadata back together with memory contents.
@@ -52,6 +53,7 @@ class HeapAllocator:
         self.free_count = 0
         self._txn_armed = False
         self._txn_snap = None
+        self.shadow = None              # set by attach_shadow
 
     # ------------------------------------------------------------------
 
@@ -83,6 +85,8 @@ class HeapAllocator:
             insort(self._sorted_bases, obj_base)
         self._objects[obj_base] = AllocRecord(obj_base, size, True,
                                               self._serial)
+        if self.shadow is not None:
+            self.shadow[obj_base:obj_base + size] = b'\x01' * size
         self.alloc_count += 1
         return obj_base
 
@@ -95,6 +99,8 @@ class HeapAllocator:
             # it; the allocator itself tolerates it.
             return False
         record.live = False
+        if self.shadow is not None:
+            self.shadow[record.base:record.limit] = bytes(record.size)
         self._free_blocks.append((record.base - RED_ZONE,
                                   record.size + 2 * RED_ZONE))
         self.free_count += 1
@@ -161,6 +167,7 @@ class HeapAllocator:
 
     def restore(self, snap):
         bump, free_blocks, objects, serial, allocs, frees = snap
+        top = max(bump, self._bump)
         self._bump = bump
         self._free_blocks = list(free_blocks)
         self._objects = {
@@ -170,8 +177,19 @@ class HeapAllocator:
         self._serial = serial
         self.alloc_count = allocs
         self.free_count = frees
+        if self.shadow is not None:     # repaint from the records
+            self.shadow[self.heap_base:top] = bytes(top - self.heap_base)
+            for rec in self._objects.values():
+                if rec.live:
+                    self.shadow[rec.base:rec.limit] = b'\x01' * rec.size
 
     def clone(self):
+        """A copy with no shadow: its malloc/free never write ours."""
         twin = HeapAllocator(self.heap_base, self.heap_limit)
         twin.restore(self.snapshot())
         return twin
+
+    def attach_shadow(self, shadow):
+        """Keep ``shadow``'s heap words exact from now on."""
+        self.shadow = shadow
+        self.restore(self.snapshot())

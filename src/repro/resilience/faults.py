@@ -304,8 +304,11 @@ class ChaosDetector:
     Wraps a real detector; every load/store hook first polls the
     injector, so an armed plan makes the detector raise exactly once
     (or per its spec) while all other behaviour -- reports, attach,
-    costs -- passes straight through.
+    costs -- passes straight through.  Except the shadow: blocks skip
+    the hooks for words it marks legal, and every access must poll.
     """
+
+    shadow = None
 
     def __init__(self, inner, injector):
         self._inner = inner

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import Mode, PathExpanderConfig
 from repro.core.runner import run_source
+from repro.detectors import CCuredDetector, IWatcherDetector
 from repro.minic.codegen import compile_minic
 
 
@@ -28,3 +29,27 @@ def run_output(source, text_input='', int_input=None):
 @pytest.fixture
 def compile_src():
     return lambda src, **kw: compile_minic(src, **kw)
+
+
+class _ZeroShadow:
+    """Gives a memory checker an all-zero shadow of its own after
+    ``attach``: every access then takes the ``classify`` path, as
+    before the shadow existed.  The allocator keeps painting the real
+    array, which nothing reads."""
+
+    def attach(self, program, memory, allocator):
+        super().attach(program, memory, allocator)
+        self.shadow = bytearray(len(self.shadow))
+
+
+_ZERO_SHADOW = {
+    'ccured': type('ZeroShadowCCured', (_ZeroShadow, CCuredDetector), {}),
+    'iwatcher': type('ZeroShadowIWatcher', (_ZeroShadow, IWatcherDetector),
+                     {}),
+}
+
+
+def zero_shadow_detector(name):
+    """A fresh ``name`` detector (ccured or iwatcher) that never trusts
+    its shadow: the oracle a real shadow must match byte for byte."""
+    return _ZERO_SHADOW[name]()

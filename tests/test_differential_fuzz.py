@@ -6,6 +6,12 @@ the baseline, the standard configuration, the CMP scheduling engine and
 the detailed Fig. 6 engine, and that coverage accounting stays
 consistent.  This is the strongest form of the paper's transparency
 requirement.
+
+A second generator reaches the heap: ``malloc``/``free``, unmasked
+reads and writes that land in red zones, neighbouring objects or
+freed blocks, and double frees.  Those programs run under CCured and
+iWatcher, where both backends and the all-zero-shadow oracle (see
+``tests/test_shadow.py``) must agree.
 """
 
 import pytest
@@ -13,9 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import Mode, PathExpanderConfig
-from repro.core.runner import run_detailed_cmp, run_program
+from repro.core.runner import make_detector, run_detailed_cmp, run_program
 import repro.cpu.fastinterp as fastinterp
 from repro.minic.codegen import compile_minic
+from tests.conftest import zero_shadow_detector
 
 _SETTINGS = settings(max_examples=25, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -70,6 +77,59 @@ int main() {
   %s
   print_int(a); print_int(b); print_int(c);
   print_int(arr[0] + arr[3] + arr[7]);
+  return 0;
+}''' % '\n  '.join(stmts))
+
+
+# Heap programs: two pointers, each (re)allocated with 0, 2 or 4
+# words (0 allocates one).  Indices are unmasked, from the lower red
+# zone to past the upper one, so reads and writes hit objects, both
+# red zones, neighbours and freed blocks; frees may repeat.
+_PTRS = ('p', 'q')
+_HEAP_INDEX = st.integers(min_value=-2, max_value=6).map(
+    lambda i: '(0 - %d)' % -i if i < 0 else str(i))
+
+
+def _heap_expr():
+    return st.one_of(
+        _expr(1),
+        st.tuples(st.sampled_from(_PTRS), _HEAP_INDEX).map(
+            lambda t: '%s[%s]' % t))
+
+
+def _heap_statement(depth):
+    alloc = st.tuples(st.sampled_from(_PTRS),
+                      st.sampled_from((0, 2, 4))).map(
+        lambda t: '%s = malloc(%d);' % t)
+    release = st.sampled_from(_PTRS).map(lambda ptr: 'free(%s);' % ptr)
+    store = st.tuples(st.sampled_from(_PTRS), _HEAP_INDEX,
+                      _heap_expr()).map(lambda t: '%s[%s] = %s;' % t)
+    load = _heap_expr().map(lambda e: 'c = c + %s;' % e)
+    flat = st.one_of(alloc, release, store, load)
+    if depth >= 1:
+        return flat
+    body = st.lists(_heap_statement(depth + 1), min_size=1,
+                    max_size=3).map(' '.join)
+    conditional = st.tuples(_expr(1), body, body).map(
+        lambda t: 'if (%s) { %s } else { %s }' % t)
+    loop = st.tuples(st.integers(min_value=1, max_value=4), body).map(
+        lambda t: ('for (int i%d = 0; i%d < %d; i%d = i%d + 1) { %s }'
+                   % (t[0], t[0], t[0], t[0], t[0], t[1])))
+    return st.one_of(flat, conditional, loop)
+
+
+_HEAP_PROGRAM = st.lists(_heap_statement(0), min_size=3,
+                         max_size=10).map(
+    lambda stmts: '''
+int arr[8];
+int main() {
+  int a = read_int();
+  int b = read_int();
+  int c = 0;
+  int *p = malloc(4);
+  int *q = malloc(2);
+  %s
+  print_int(a); print_int(b); print_int(c);
   return 0;
 }''' % '\n  '.join(stmts))
 
@@ -143,5 +203,41 @@ class TestBackendFuzz:
     def _run(program, mode, backend, a, b):
         return run_program(
             program, detector='ccured',
+            config=PathExpanderConfig(mode=mode, backend=backend),
+            int_input=[a, b]).to_dict()
+
+
+class TestHeapFuzz:
+    """Heap programs under the memory checkers: the fast backend at
+    every promotion threshold, and the all-zero-shadow oracle on both
+    backends, give the reference backend's RunResult byte for byte."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_HEAP_PROGRAM, st.sampled_from(Mode.ALL),
+           st.integers(0, 100), st.integers(0, 100))
+    def test_backends_and_oracle_agree(self, source, mode, a, b):
+        program = compile_minic(source, name='fuzz_heap')
+        for tool in ('ccured', 'iwatcher'):
+            expected = self._run(program, make_detector(tool), mode,
+                                 'reference', a, b)
+            assert self._run(program, zero_shadow_detector(tool), mode,
+                             'reference', a, b) == expected, tool
+            for threshold in _THRESHOLDS:
+                program.block_memo.clear()
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(fastinterp, '_PROMOTE_AFTER',
+                                  threshold)
+                    for detector in (make_detector(tool),
+                                     zero_shadow_detector(tool)):
+                        fast = self._run(program, detector, mode,
+                                         'fast', a, b)
+                        assert fast == expected, (
+                            tool, threshold, type(detector).__name__)
+
+    @staticmethod
+    def _run(program, detector, mode, backend, a, b):
+        return run_program(
+            program, detector=detector,
             config=PathExpanderConfig(mode=mode, backend=backend),
             int_input=[a, b]).to_dict()

@@ -24,12 +24,13 @@ from repro.cpu.backend import make_interpreter
 from repro.cpu.exceptions import ProgramExit, SimFault
 from repro.cpu.fastinterp import FastInterpreter, _BlockCompiler
 from repro.cpu.interpreter import Interpreter
+from repro.detectors import AssertionDetector, CCuredDetector, Detector
 from repro.isa.cfg import (BLOCK_OPS, FUSEABLE_OPS, TERMINATOR_OPS,
-                           block_leaders, fuseable_run)
+                           basic_runs, block_leaders, fuseable_run)
 from repro.isa.instructions import Instr, Reg, Syscall
 from repro.isa.program import Program
 from repro.memory.main_memory import MainMemory
-from repro.resilience import events
+from repro.resilience import ChaosDetector, events
 
 
 def _prog(code, functions=None, entry=0, globals_size=64):
@@ -492,6 +493,79 @@ class TestBlockMemo:
         engine.run()
         assert engine.interp.block_count == 0
         assert not engine.interp.block_compile_failed
+
+
+class _RecordingCCured(CCuredDetector):
+    """CCured that records the shadow byte of every hooked access."""
+
+    def __init__(self):
+        super().__init__()
+        self.hooked = []
+
+    def on_load(self, addr, value, interp):
+        self.hooked.append(self.shadow[addr])
+        return CCuredDetector.on_load(self, addr, value, interp)
+
+    def on_store(self, addr, value, interp):
+        self.hooked.append(self.shadow[addr])
+        return CCuredDetector.on_store(self, addr, value, interp)
+
+
+@pytest.mark.usefixtures('promote_at_once')
+class TestShadowHooks:
+    """Blocks test a memory checker's shadow inline and call its hooks
+    only for words it does not mark legal; a detector that overrides
+    neither hook gets none emitted."""
+
+    def test_blocks_hook_only_words_not_marked_legal(self):
+        # Each trip stores and loads a stack word (legal) and loads a
+        # global gap word (an overrun).
+        code = [Instr('li', 1, 0), Instr('li', 5, 9),
+                Instr('st', 1, Reg.SP, -1), Instr('ld', 3, Reg.SP, -1),
+                Instr('ld', 2, 1, 16), Instr('addi', 1, 1, 1),
+                Instr('slt', 4, 1, 5), Instr('br', 4, 2),
+                Instr('mov', Reg.A1, 3),
+                Instr('syscall', Syscall.PRINT_INT), Instr('halt')]
+        results, hooked = {}, {}
+        for backend in BACKEND_CHOICES:
+            detector = _RecordingCCured()
+            results[backend] = run_program(
+                _prog(code), detector=detector,
+                config=PathExpanderConfig(backend=backend)).to_dict()
+            hooked[backend] = detector.hooked
+        assert results['fast'] == results['reference']
+        assert results['fast']['reports']
+        assert sorted(hooked['reference']) == [0] * 9 + [1] * 18
+        assert hooked['fast'] == [0] * 9
+
+    @pytest.mark.parametrize('wrap_base', [False, True])
+    def test_hooks_emitted_per_detector(self, monkeypatch, wrap_base):
+        if wrap_base:
+            # A tracer wraps the base class's hooks in place: a
+            # detector inheriting them still needs none.
+            for hook in ('on_load', 'on_store'):
+                base = vars(Detector)[hook]
+                monkeypatch.setattr(
+                    Detector, hook,
+                    lambda *args, _base=base: _base(*args))
+        program = _memory_block_program()
+        # detector -> (hook calls emitted, inline shadow test emitted)
+        cases = ((AssertionDetector(), False, False),
+                 (CCuredDetector(), True, True),
+                 (ChaosDetector(CCuredDetector(), None), True, False))
+        for detector, hooks, shadow in cases:
+            engine = PathExpanderEngine(
+                program, detector=detector,
+                config=PathExpanderConfig(backend='fast'))
+            compiler = _BlockCompiler(engine.interp)
+            text = ''.join(
+                compiled[1] for compiled in (
+                    compiler.compile(*run) for run in basic_runs(
+                        program, engine.interp._block_ops()))
+                if compiled is not None)
+            assert '_v = _cells[_a]' in text
+            assert ('_dl(' in text and '_ds(' in text) == hooks, detector
+            assert ('_sh[' in text) == shadow, detector
 
 
 class TestRunRelease:

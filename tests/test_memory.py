@@ -1,10 +1,14 @@
 """Unit tests for memory, allocator, cache and checkpointing."""
 
 import gc
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cpu.exceptions import FaultKind, SimFault
+from repro.detectors.memcheck import MemoryCheckLogic
 from repro.memory.allocator import RED_ZONE, HeapAllocator
 from repro.memory.cache import COMMITTED, Cache
 from repro.memory.main_memory import NULL_GUARD, MainMemory
@@ -199,6 +203,94 @@ class TestAllocator:
         twin.free(base)
         assert alloc.classify(base) == 'object'
         assert twin.classify(base) == 'freed'
+
+
+# One allocator operation: malloc(size), free of the n-th pointer handed
+# out (live, freed or reused: valid, double and stale frees), a free of
+# an arbitrary heap-ish address, or an NT-path transaction step.
+_ALLOC_OPS = st.one_of(
+    st.tuples(st.just('malloc'), st.integers(-1, 12)),
+    st.tuples(st.just('free'), st.integers(0, 15)),
+    st.tuples(st.just('free_at'), st.integers(300, 520)),
+    st.tuples(st.just('begin_txn'), st.none()),
+    st.tuples(st.just('rollback_txn'), st.none()),
+)
+
+# Globals as the compiler lays them out (2-word gaps), plus objects
+# that start inside an earlier one (empty, and shorter): classify's
+# bisect sees only the later object from its base on.
+_GLOBALS = [('a', 16, 4), ('b', 22, 6), ('e', 25, 0), ('c', 30, 12),
+            ('d', 33, 3), ('f', 45, 15)]
+
+
+class TestShadow:
+    """The checkers' shadow is exact: after every allocator operation,
+    a word's byte is 1 if and only if ``classify`` calls it legal."""
+
+    @staticmethod
+    def _setup():
+        memory = MainMemory(size=1024, globals_size=64)
+        alloc = HeapAllocator(memory.heap_base, memory.stack_limit)
+        return memory, alloc
+
+    @staticmethod
+    def _apply(alloc, op, arg, handed_out):
+        if op == 'malloc':
+            try:
+                handed_out.append(alloc.malloc(arg))
+            except SimFault:
+                pass                    # heap exhausted: state unchanged
+        elif op == 'free':
+            if handed_out:
+                alloc.free(handed_out[arg % len(handed_out)])
+        elif op == 'free_at':
+            alloc.free(arg)
+        else:
+            getattr(alloc, op)()
+
+    @staticmethod
+    def _assert_exact(logic, memory):
+        shadow = logic.shadow
+        words = range(NULL_GUARD, memory.size)
+        wrong = [addr for addr in words
+                 if bool(shadow[addr]) != (logic.classify(addr) is None)]
+        assert wrong == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_ALLOC_OPS, min_size=8, max_size=40),
+           st.integers(0, 12))
+    def test_shadow_matches_classify(self, ops, attach_at):
+        memory, alloc = self._setup()
+        handed_out = []
+        logic = None
+        for index, (op, arg) in enumerate(ops + [('malloc', 0)]):
+            if index == min(attach_at, len(ops)):
+                logic = MemoryCheckLogic(
+                    SimpleNamespace(global_objects=_GLOBALS), memory,
+                    alloc)
+                self._assert_exact(logic, memory)
+            self._apply(alloc, op, arg, handed_out)
+            if logic is not None:
+                self._assert_exact(logic, memory)
+
+    def test_clone_never_writes_the_shadow(self):
+        memory, alloc = self._setup()
+        logic = MemoryCheckLogic(SimpleNamespace(global_objects=_GLOBALS),
+                                 memory, alloc)
+        live = alloc.malloc(4)
+        freed = alloc.malloc(6)
+        alloc.free(freed)
+        before = bytes(logic.shadow)
+        twin = alloc.clone()
+        assert twin.shadow is None
+        twin.free(live)
+        twin.malloc(2)
+        twin.begin_txn()
+        twin.malloc(9)
+        twin.rollback_txn()
+        twin.restore(twin.snapshot())
+        assert bytes(logic.shadow) == before
+        self._assert_exact(logic, memory)
 
 
 class TestCache:

@@ -219,6 +219,24 @@ class TestDegradation:
         assert degraded.to_dict() == expected
         assert events.counts().get('degraded_to_reference') == 1
 
+    def test_chaos_proxy_polls_every_load_and_store(self, monkeypatch):
+        """Blocks skip the hooks for words a detector's shadow marks
+        legal.  The proxy must expose no shadow of its own, or an
+        injected hook fault could never reach a legal access: with a
+        plan that never fires, the fast backend (every block compiled
+        on first entry) polls once per retired load and store, as the
+        reference backend does."""
+        import repro.cpu.fastinterp as fastinterp
+        monkeypatch.setattr(fastinterp, '_PROMOTE_AFTER', 1)
+        expected = _app_run('fast').to_dict()
+        polls = {}
+        for backend in ('reference', 'fast'):
+            injector = install_plan(FaultPlan.single('detector.hook',
+                                                     fires=()))
+            assert _app_run(backend).to_dict() == expected
+            polls[backend] = injector._counts['detector.hook']
+        assert polls['fast'] == polls['reference'] > 0
+
     def test_reference_backend_failure_is_structured(self):
         install_plan(FaultPlan.single('detector.hook'))
         with pytest.raises(EngineError) as info:
