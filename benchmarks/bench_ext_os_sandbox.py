@@ -5,13 +5,16 @@ The paper predicts that with OS support for sandboxing unsafe events,
 instructions" (Section 3.2).
 """
 
+from functools import partial
+
 from conftest import emit
 from repro.harness.experiments import run_ext_os_sandbox
 
 
-def test_ext_os_sandbox(benchmark):
-    result = benchmark.pedantic(run_ext_os_sandbox, rounds=1,
-                                iterations=1)
+def test_ext_os_sandbox(benchmark, experiment_pool):
+    result = benchmark.pedantic(
+        partial(run_ext_os_sandbox, pool=experiment_pool), rounds=1,
+        iterations=1)
     emit(result)
     for app, plain, sandboxed in result.rows:
         plain_pct = float(plain.rstrip('%'))

@@ -5,13 +5,16 @@ exercise counter before the bug-triggering state arose (the undetected
 bc bug's mechanism).
 """
 
+from functools import partial
+
 from conftest import emit
 from repro.harness.experiments import run_ext_random_selection
 
 
-def test_ext_random_selection(benchmark):
-    result = benchmark.pedantic(run_ext_random_selection, rounds=1,
-                                iterations=1)
+def test_ext_random_selection(benchmark, experiment_pool):
+    result = benchmark.pedantic(
+        partial(run_ext_random_selection, pool=experiment_pool), rounds=1,
+        iterations=1)
     emit(result)
     for bug, app, plain, randomized, extra in result.rows:
         assert plain == 'no', \

@@ -1,11 +1,14 @@
 """Parameter sensitivity (Section 7.6)."""
 
+from functools import partial
+
 from conftest import emit
 from repro.harness.experiments import run_fig10
 
 
-def test_fig10_parameters(benchmark):
-    result = benchmark.pedantic(run_fig10, rounds=1, iterations=1)
+def test_fig10_parameters(benchmark, experiment_pool):
+    result = benchmark.pedantic(partial(run_fig10, pool=experiment_pool),
+                                rounds=1, iterations=1)
     emit(result)
     rows = result.row_dict()
     # longer NT-paths: more coverage, more overhead

@@ -1,12 +1,14 @@
 """Figure 3: crash-latency / unsafe-latency CDFs for go, gzip, vpr."""
 
+from functools import partial
+
 from conftest import emit
 from repro.harness.experiments import run_fig3
 
 
-def test_fig3_crash_latency(benchmark):
-    result, details = benchmark.pedantic(run_fig3, rounds=1,
-                                         iterations=1)
+def test_fig3_crash_latency(benchmark, experiment_pool):
+    result, details = benchmark.pedantic(
+        partial(run_fig3, pool=experiment_pool), rounds=1, iterations=1)
     emit(result)
     rows = result.row_dict()
 

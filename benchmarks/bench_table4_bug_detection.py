@@ -1,11 +1,14 @@
 """Table 4: bugs detected, baseline vs PathExpander (0 -> 21 of 38)."""
 
+from functools import partial
+
 from conftest import emit
 from repro.harness.experiments import run_table4
 
 
-def test_table4_bug_detection(benchmark):
-    result = benchmark.pedantic(run_table4, rounds=1, iterations=1)
+def test_table4_bug_detection(benchmark, experiment_pool):
+    result = benchmark.pedantic(partial(run_table4, pool=experiment_pool),
+                                rounds=1, iterations=1)
     emit(result)
     total = [row for row in result.rows if row[0] == 'TOTAL'][0]
     assert total[2] == 38

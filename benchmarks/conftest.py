@@ -5,12 +5,13 @@ it prints the measured rows (the same rows/series the paper reports)
 and times a representative kernel with pytest-benchmark.  Heavy
 experiments run exactly once via ``benchmark.pedantic``.
 
-``--jobs N`` (or the ``REPRO_JOBS`` environment variable) routes the
-pooled experiment drivers (fig7, fig8, fig9, table6) through a
-:class:`~repro.jobs.pool.JobPool` with N worker processes.  The
-measured kernels are unchanged — the same ``run_*`` driver is timed —
-so the benchmarks exercise both the serial and pooled execution paths,
-which are required to produce identical tables.
+``--jobs N`` (or the ``REPRO_JOBS`` environment variable) routes
+every simulating experiment driver (all but table2 and table3) through
+a :class:`~repro.jobs.pool.JobPool` with N worker processes; val1's
+detailed-CMP runs stay in-process.  The measured kernels are unchanged
+— the same ``run_*`` driver is timed — so the benchmarks exercise both
+the serial and pooled execution paths, which are required to produce
+identical tables.
 
 ``--backend NAME`` (or ``$REPRO_BACKEND``) selects the execution
 backend every simulation uses ('reference' or 'fast').  The two are
@@ -35,7 +36,7 @@ def jobs_requested(config=None):
 def pytest_addoption(parser):
     parser.addoption(
         '--jobs', type=int, default=jobs_requested(),
-        help='worker processes for pooled experiment drivers '
+        help='worker processes for the experiment drivers '
              '(default: $REPRO_JOBS or 1 = serial in-process)')
     parser.addoption(
         '--backend', default=None,

@@ -15,12 +15,14 @@
 ``--jobs N`` fans an experiment's simulations out over N worker
 processes; ``--cache DIR`` keeps an on-disk result store so re-runs
 with unchanged inputs perform zero simulations.  Both print a job
-metrics summary after the tables.
+metrics summary after the tables.  A batch resolves the simulations of
+all its experiments together, running each distinct one once.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -34,27 +36,6 @@ from repro.harness import experiments
 from repro.harness.trace import TracedRun
 from repro.isa.disasm import disassemble, function_listing
 from repro.minic.codegen import compile_minic
-
-EXPERIMENT_RUNNERS = {
-    'table2': experiments.run_table2,
-    'table3': experiments.run_table3,
-    'table4': experiments.run_table4,
-    'table5': experiments.run_table5,
-    'fig3': lambda: experiments.run_fig3()[0],
-    'fig7': experiments.run_fig7,
-    'fig8': experiments.run_fig8,
-    'fig9': experiments.run_fig9,
-    'table6': experiments.run_table6,
-    'fig10': experiments.run_fig10,
-    'abl1': experiments.run_ablation_nt_from_nt,
-    'ext1': experiments.run_ext_os_sandbox,
-    'ext2': experiments.run_ext_random_selection,
-    'val1': experiments.run_val_cmp_model,
-}
-
-# Drivers that accept a JobPool (pool=) and an app subset (apps=).
-POOLED_EXPERIMENTS = frozenset({'fig7', 'fig8', 'fig9', 'table6'})
-APPS_EXPERIMENTS = frozenset({'fig7', 'fig8', 'fig9', 'table6'})
 
 
 def _parse_ints(text):
@@ -102,7 +83,7 @@ def _build_parser():
     bugs_cmd.add_argument('--version', type=int, default=0)
 
     exp_cmd = sub.add_parser('experiment', help='run one experiment')
-    exp_cmd.add_argument('id', choices=sorted(EXPERIMENT_RUNNERS))
+    exp_cmd.add_argument('id', choices=sorted(experiments.EXPERIMENTS))
     exp_cmd.add_argument('--plot', action='store_true',
                          help='render ASCII charts (fig3, fig7)')
     _add_jobs_options(exp_cmd)
@@ -145,8 +126,8 @@ def _add_jobs_options(cmd):
     cmd.add_argument('--json', action='store_true',
                      help='emit results (and metrics) as JSON')
     cmd.add_argument('--apps', default=None,
-                     help='comma-separated app subset for the '
-                          'coverage/overhead experiments')
+                     help='comma-separated app subset (only for '
+                          'experiments that take an app list)')
     cmd.add_argument('--backend', default=None,
                      choices=list(BACKEND_CHOICES),
                      help='execution backend for every simulation '
@@ -179,15 +160,19 @@ def _make_pool(args):
                    metrics=metrics, timeout=args.timeout)
 
 
-def _runner_kwargs(exp_id, args, pool):
-    kwargs = {}
-    if pool is not None and exp_id in POOLED_EXPERIMENTS:
-        kwargs['pool'] = pool
-    if args.apps and exp_id in APPS_EXPERIMENTS:
-        kwargs['apps'] = tuple(
-            name.strip() for name in args.apps.split(',')
-            if name.strip())
-    return kwargs
+def _plan_kwargs(args, ids):
+    """Driver arguments from ``--apps``, or None (reported on stderr)
+    if an experiment in ``ids`` takes no app list."""
+    if not args.apps:
+        return {}
+    fixed = [exp_id for exp_id in ids if 'apps' not in inspect.signature(
+        experiments.EXPERIMENTS[exp_id]).parameters]
+    if fixed:
+        print('%s: --apps does not apply to %s (no app list)'
+              % (args.command, ', '.join(fixed)), file=sys.stderr)
+        return None
+    return {'apps': tuple(name.strip() for name in args.apps.split(',')
+                          if name.strip())}
 
 
 def _cmd_run(args):
@@ -266,17 +251,21 @@ def _cmd_bugs(args):
 
 
 def _cmd_experiment(args):
+    kwargs = _plan_kwargs(args, [args.id])
+    if kwargs is None:
+        return 2
     _apply_backend(args)
+    pool = _make_pool(args)
+    plot = None
     if args.plot and args.id == 'fig3':
         from repro.harness.plots import fig3_plot
-        result, details = experiments.run_fig3()
-        print(result.format())
-        print()
-        print(fig3_plot(details))
-        return 0
-    pool = _make_pool(args)
-    result = EXPERIMENT_RUNNERS[args.id](
-        **_runner_kwargs(args.id, args, pool))
+        result, details = experiments.run_fig3(pool=pool, **kwargs)
+        plot = fig3_plot(details)
+    else:
+        result = experiments.EXPERIMENTS[args.id](pool=pool, **kwargs)
+    if args.plot and args.id == 'fig7':
+        from repro.harness.plots import coverage_bars
+        plot = coverage_bars(result.rows)
     if args.json:
         payload = result.to_dict()
         if pool is not None:
@@ -284,10 +273,9 @@ def _cmd_experiment(args):
         print(json.dumps(payload, indent=2))
         return 0
     print(result.format())
-    if args.plot and args.id == 'fig7':
-        from repro.harness.plots import coverage_bars
+    if plot is not None:
         print()
-        print(coverage_bars(result.rows))
+        print(plot)
     if pool is not None:
         print()
         print(pool.metrics.format_summary())
@@ -295,36 +283,32 @@ def _cmd_experiment(args):
 
 
 def _cmd_batch(args):
-    ids = list(args.ids)
-    if args.all:
-        ids = sorted(EXPERIMENT_RUNNERS)
+    known = sorted(experiments.EXPERIMENTS)
+    ids = known if args.all else list(args.ids)
     if not ids:
         print('batch: give experiment IDs or --all', file=sys.stderr)
         return 2
-    unknown = [exp_id for exp_id in ids
-               if exp_id not in EXPERIMENT_RUNNERS]
+    unknown = [exp_id for exp_id in ids if exp_id not in known]
     if unknown:
         print('batch: unknown experiment id(s): %s (choose from %s)'
-              % (', '.join(unknown), ', '.join(sorted(
-                  EXPERIMENT_RUNNERS))), file=sys.stderr)
+              % (', '.join(unknown), ', '.join(known)), file=sys.stderr)
+        return 2
+    kwargs = _plan_kwargs(args, ids)
+    if kwargs is None:
         return 2
     _apply_backend(args)
     pool = _make_pool(args)
-    payloads = []
-    for exp_id in ids:
-        result = EXPERIMENT_RUNNERS[exp_id](
-            **_runner_kwargs(exp_id, args, pool))
-        if args.json:
-            payloads.append(result.to_dict())
-        else:
-            print(result.format())
-            print()
+    tables = experiments.run_batch(ids, pool=pool, **kwargs)
     if args.json:
-        payload = {'experiments': payloads}
+        payload = {'experiments': [table.to_dict() for table in tables]}
         if pool is not None:
             payload['metrics'] = pool.metrics.to_dict()
         print(json.dumps(payload, indent=2))
-    elif pool is not None:
+        return 0
+    for table in tables:
+        print(table.format())
+        print()
+    if pool is not None:
         print(pool.metrics.format_summary())
     return 0
 

@@ -132,13 +132,14 @@ def run_source(source, detector=None, config=None, text_input='',
                        text_input=text_input, int_input=int_input)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)
 def _compiled_app(app_name, version):
-    """Compile a registered app once per process.
+    """Compile a registered app, reusing the last compilation.
 
-    Programs are immutable during runs (the harness already reuses one
-    compilation across baseline/expanded runs), so sharing is safe; the
-    cache keeps per-input job batches from recompiling the same app.
+    Programs are immutable during runs, so consecutive jobs over one
+    app version (the drivers keep them adjacent) share one compilation.
+    One entry keeps only that program alive: a deeper cache holds every
+    app a long batch visits, with its compiled blocks.
     """
     from repro.apps.registry import get_app
     return get_app(app_name).compile(version)

@@ -114,7 +114,14 @@ class JobSpec:
 
     @property
     def key(self):
-        """Canonical content hash: the cache key for this job."""
+        """Canonical content hash: the cache key for this job.
+
+        Overrides are hashed as given, so an override equal to the
+        default still changes the key.  The experiment drivers build
+        app specs with only the overrides that differ from the app's
+        own configuration, which makes every run they share hash
+        equal.
+        """
         if self._key is None:
             canonical = json.dumps(self.to_dict(), sort_keys=True,
                                    separators=(',', ':'))

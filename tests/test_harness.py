@@ -1,5 +1,7 @@
 """Tests for the experiment harness, reporting, tracing and CLI."""
 
+import json
+
 import pytest
 
 from repro.harness import experiments
@@ -156,6 +158,38 @@ class TestCLI:
         code, out = self._run_cli(['experiment', 'table2'], capsys)
         assert code == 0
         assert 'spawn overhead' in out
+
+    @pytest.mark.parametrize('exp_id,app', [('fig3', 'gzip_app'),
+                                            ('ext1', 'gzip_app'),
+                                            ('val1', 'print_tokens2')])
+    def test_apps_reaches_every_driver_with_an_app_list(self, capsys,
+                                                        exp_id, app):
+        code, out = self._run_cli(
+            ['experiment', exp_id, '--apps', app, '--json'], capsys)
+        assert code == 0
+        assert [row[0] for row in json.loads(out)['rows']] == [app]
+
+    @pytest.mark.parametrize('ids,fixed', [(['experiment', 'table4'],
+                                            'table4'),
+                                           (['batch', 'fig7', 'fig10'],
+                                            'fig10')])
+    def test_apps_rejected_where_no_driver_takes_it(self, capsys, ids,
+                                                    fixed):
+        from repro.cli import main
+        assert main(ids + ['--apps', 'schedule']) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ''
+        assert '--apps does not apply to %s ' % fixed in captured.err
+
+    def test_every_experiment_honours_the_cache(self, capsys, tmp_path):
+        argv = ['experiment', 'ext2', '--cache', str(tmp_path), '--json']
+        cold = json.loads(self._run_cli(argv, capsys)[1])
+        warm = json.loads(self._run_cli(argv, capsys)[1])
+        assert cold['metrics']['jobs_run'] == 4
+        assert warm['metrics']['jobs_run'] == 0
+        assert warm['metrics']['cache_hits'] \
+            == warm['metrics']['jobs_submitted'] == 4
+        assert warm['rows'] == cold['rows']
 
     def test_run_and_disasm(self, capsys, tmp_path):
         source_file = tmp_path / 'demo.mc'

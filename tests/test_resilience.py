@@ -23,6 +23,7 @@ from repro.core.errors import (EngineError, InjectedFault,
                                JobExecutionError, WatchdogTimeout,
                                classify)
 from repro.core.runner import make_detector, run_job, run_program
+from repro.harness.experiments import run_batch
 from repro.jobs import JobPool, JobSpec, ResultStore
 from repro.jobs import pool as pool_module
 from repro.resilience import (SITES, FaultInjector, FaultPlan,
@@ -576,6 +577,31 @@ def test_single_fault_leaves_batch_correct(plan, tmp_path):
                      timeout=60.0)
     replayed = replay.run(specs)
     assert [r.to_dict() for r in replayed] == expected
+
+
+@pytest.mark.parametrize('plan', FaultPlan.default_matrix(SEED),
+                         ids=_plan_id)
+def test_single_fault_leaves_experiment_batch_correct(plan, tmp_path):
+    """The same invariant on ``repro batch``'s path: fig9 and table6
+    share two of their four distinct runs, and CCured fires the
+    detector hook.  A cold batch and a warm replay each give the
+    fault-free tables or fail with one spec-attributed error."""
+    ids = ['fig9', 'table6']
+    expected = [table.to_dict()
+                for table in run_batch(ids, apps=('schedule2',))]
+
+    install_plan(plan, propagate=True)
+    store = ResultStore(tmp_path / 'chaos')
+    for _replay in range(2):
+        pool = JobPool(jobs=1, store=store, retries=2, backoff=0.001,
+                       timeout=60.0)
+        try:
+            tables = run_batch(ids, pool=pool, apps=('schedule2',))
+        except JobExecutionError as error:
+            assert error.key is not None
+            continue
+        assert pool.metrics.jobs_submitted == 4
+        assert [table.to_dict() for table in tables] == expected
 
 
 # =====================================================================
