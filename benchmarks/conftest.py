@@ -48,10 +48,8 @@ def pytest_addoption(parser):
 def pytest_configure(config):
     backend = config.getoption('--backend', default=None)
     if backend:
-        from repro.core.config import set_default_backend
-        set_default_backend(backend)
-        # Pool workers are separate processes; they inherit the
-        # choice through the environment.
+        # Read at each engine's construction; pool workers are
+        # separate processes and inherit it too.
         os.environ['REPRO_BACKEND'] = backend
 
 

@@ -14,9 +14,12 @@
 
 ``--jobs N`` fans an experiment's simulations out over N worker
 processes; ``--cache DIR`` keeps an on-disk result store so re-runs
-with unchanged inputs perform zero simulations.  Both print a job
-metrics summary after the tables.  A batch resolves the simulations of
-all its experiments together, running each distinct one once.
+with unchanged inputs perform zero simulations; ``--timeout S`` bounds
+each job, serial or pooled.  Each prints a job metrics summary after
+the tables, and a job that fails every attempt ends the command with
+its one-line error and exit status 1.  A batch resolves the
+simulations of all its experiments together, running each distinct
+one once.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import sys
 
 from repro.apps.bugs import classify_reports
 from repro.apps.registry import ALL_APPS, get_app
-from repro.core.config import (BACKEND_CHOICES, Mode, PathExpanderConfig,
-                               set_default_backend)
+from repro.core.config import BACKEND_CHOICES, Mode, PathExpanderConfig
+from repro.core.errors import JobExecutionError
 from repro.core.runner import make_detector, run_program
 from repro.harness import experiments
 from repro.harness.trace import TracedRun
@@ -122,7 +125,9 @@ def _add_jobs_options(cmd):
     cmd.add_argument('--cache', default=None, metavar='DIR',
                      help='on-disk result cache directory')
     cmd.add_argument('--timeout', type=float, default=None,
-                     help='per-job timeout in seconds (pooled mode)')
+                     help='per-job timeout in seconds; a job that '
+                          'times out on every attempt fails the '
+                          'command (exit 1)')
     cmd.add_argument('--json', action='store_true',
                      help='emit results (and metrics) as JSON')
     cmd.add_argument('--apps', default=None,
@@ -135,18 +140,18 @@ def _add_jobs_options(cmd):
 
 
 def _apply_backend(args):
-    """Make ``--backend`` the process-wide default, including for job
-    pool workers (which inherit it through ``$REPRO_BACKEND``).  Cache
-    keys ignore the backend on purpose: the two backends are
+    """Make ``--backend`` the process-wide default through
+    ``$REPRO_BACKEND``, which job pool workers inherit.  Cache keys
+    ignore the backend on purpose: the two backends are
     result-equivalent, so cached results stay valid either way."""
     if getattr(args, 'backend', None):
-        set_default_backend(args.backend)
         os.environ['REPRO_BACKEND'] = args.backend
 
 
 def _make_pool(args):
-    """A JobPool wired to the CLI's cache/metrics options, or None."""
-    if args.jobs <= 1 and not args.cache:
+    """A JobPool wired to the CLI's jobs/cache/timeout options, or
+    None when none of them is given."""
+    if args.jobs <= 1 and not args.cache and args.timeout is None:
         return None
     from repro.jobs import JobPool, ResultStore, RunMetrics
     store = None
@@ -257,12 +262,17 @@ def _cmd_experiment(args):
     _apply_backend(args)
     pool = _make_pool(args)
     plot = None
-    if args.plot and args.id == 'fig3':
-        from repro.harness.plots import fig3_plot
-        result, details = experiments.run_fig3(pool=pool, **kwargs)
-        plot = fig3_plot(details)
-    else:
-        result = experiments.EXPERIMENTS[args.id](pool=pool, **kwargs)
+    try:
+        if args.plot and args.id == 'fig3':
+            from repro.harness.plots import fig3_plot
+            result, details = experiments.run_fig3(pool=pool, **kwargs)
+            plot = fig3_plot(details)
+        else:
+            result = experiments.EXPERIMENTS[args.id](pool=pool,
+                                                      **kwargs)
+    except JobExecutionError as exc:
+        print('experiment: %s' % exc, file=sys.stderr)
+        return 1
     if args.plot and args.id == 'fig7':
         from repro.harness.plots import coverage_bars
         plot = coverage_bars(result.rows)
@@ -298,7 +308,11 @@ def _cmd_batch(args):
         return 2
     _apply_backend(args)
     pool = _make_pool(args)
-    tables = experiments.run_batch(ids, pool=pool, **kwargs)
+    try:
+        tables = experiments.run_batch(ids, pool=pool, **kwargs)
+    except JobExecutionError as exc:
+        print('batch: %s' % exc, file=sys.stderr)
+        return 1
     if args.json:
         payload = {'experiments': [table.to_dict() for table in tables]}
         if pool is not None:

@@ -32,8 +32,8 @@ from repro.core.config import Mode, PathExpanderConfig
 from repro.core.result import NTPathRecord, NTPathTermination, RunResult
 from repro.core.selector import NTPathSelector
 from repro.coverage.tracker import CoverageTracker
-from repro.cpu.backend import make_interpreter
 from repro.cpu.exceptions import ProgramExit, SimFault
+from repro.cpu.interpreter import Interpreter
 from repro.cpu.state import Core
 from repro.cpu.syscalls import IOContext
 from repro.cpu.timing import CostModel
@@ -175,10 +175,10 @@ class DetailedCmpEngine:
         self.primary.reset(program.entry, self.memory.stack_top)
         # Cycle interleaving with NT contexts needs per-instruction
         # stepping, so only ``step`` is used here -- never fused
-        # blocks.  Both backends share the reference ``step``.
-        self.backend = cfg.resolved_backend
-        self.primary_interp = make_interpreter(
-            self.backend, program, self._taken_view, self.allocator,
+        # blocks -- and both backends share the reference ``step``:
+        # this engine always runs the reference ``Interpreter``.
+        self.primary_interp = Interpreter(
+            program, self._taken_view, self.allocator,
             self.primary, self.io, self.costs,
             cache=self._new_cache() if cfg.enable_cache_model else None,
             detector=detector, on_branch=self._on_primary_branch)
@@ -370,12 +370,11 @@ class DetailedCmpEngine:
         view = _NTView(self.memory, tuple(self._segments))
         self._segments.append(segment)
 
-        interp = make_interpreter(self.backend, self.program, view,
-                                  self.allocator.clone(), core,
-                                  self.io, self.costs,
-                                  cache=self._new_cache()
-                                  if config.enable_cache_model else None,
-                                  detector=self.detector)
+        interp = Interpreter(self.program, view, self.allocator.clone(),
+                             core, self.io, self.costs,
+                             cache=self._new_cache()
+                             if config.enable_cache_model else None,
+                             detector=self.detector)
         interp.on_branch = self._on_nt_branch(interp)
         # NT interpreters here are stepped per-instruction for cycle
         # interleaving (never through fused blocks), and live for one

@@ -26,28 +26,17 @@ from __future__ import annotations
 
 import os
 
-# Execution backends (see repro.cpu.backend).  The process-wide default
-# is 'fast'; REPRO_BACKEND overrides it (and, because environment
-# variables propagate to pool workers, steers whole batch runs), and
-# set_default_backend() overrides both -- the CLI uses it so one
-# --backend flag reaches every job a command spawns.
+# Execution backends (PathExpanderEngine.INTERPRETERS maps each name to
+# its interpreter class).  A config may pin one; otherwise the default
+# is 'fast', and REPRO_BACKEND overrides it -- the CLI's and the
+# benchmarks' --backend set that variable, which also reaches pool
+# workers, so one flag steers every job a command spawns.
 BACKEND_CHOICES = ('reference', 'fast')
 
 DEFAULT_BACKEND = 'fast'
-_backend_override = None
-
-
-def set_default_backend(backend):
-    """Process-wide backend for configs that do not pin one."""
-    global _backend_override
-    if backend is not None and backend not in BACKEND_CHOICES:
-        raise ValueError('bad backend %r' % backend)
-    _backend_override = backend
 
 
 def default_backend():
-    if _backend_override is not None:
-        return _backend_override
     env = os.environ.get('REPRO_BACKEND')
     if env:
         if env not in BACKEND_CHOICES:
@@ -114,9 +103,9 @@ class PathExpanderConfig:
         if backend is not None and backend not in BACKEND_CHOICES:
             raise ValueError('bad backend %r' % backend)
         # None = resolve default_backend() at engine-construction time,
-        # so a config built before set_default_backend()/REPRO_BACKEND
-        # takes effect still honours them (and job-cache keys stay
-        # backend-independent: both backends produce identical results).
+        # so a config built before REPRO_BACKEND is set still honours
+        # it (and job-cache keys stay backend-independent: both
+        # backends produce identical results).
         self.backend = backend
         self.nt_counter_threshold = nt_counter_threshold
         self.counter_reset_interval = counter_reset_interval

@@ -24,8 +24,9 @@ from repro.core.config import Mode, PathExpanderConfig
 from repro.core.result import NTPathRecord, NTPathTermination, RunResult
 from repro.core.selector import NTPathSelector
 from repro.coverage.tracker import CoverageTracker
-from repro.cpu.backend import make_interpreter
 from repro.cpu.exceptions import ProgramExit, SimFault
+from repro.cpu.fastinterp import FastInterpreter
+from repro.cpu.interpreter import Interpreter
 from repro.cpu.state import Core
 from repro.cpu.syscalls import IOContext
 from repro.cpu.timing import CostModel
@@ -37,6 +38,11 @@ from repro.resilience import events, get_injector
 from repro.resilience.watchdog import Watchdog
 
 _NT_VERSION = 1
+
+# The interpreter class per backend name (``config.BACKEND_CHOICES``;
+# the config rejects any other name).  Both are result-identical: see
+# DESIGN.md, "Dual-backend equivalence invariant".
+INTERPRETERS = {'reference': Interpreter, 'fast': FastInterpreter}
 
 
 class PathExpanderEngine:
@@ -85,13 +91,10 @@ class PathExpanderEngine:
         if detector is not None and hasattr(detector, 'attach'):
             detector.attach(program, self.memory, self.allocator)
 
-        self.backend = cfg.resolved_backend
-        self.interp = make_interpreter(self.backend, program,
-                                       self.memory, self.allocator,
-                                       self.core, self.io, self.costs,
-                                       cache=self.cache,
-                                       detector=detector,
-                                       on_branch=self._on_branch)
+        self.interp = INTERPRETERS[cfg.resolved_backend](
+            program, self.memory, self.allocator, self.core, self.io,
+            self.costs, cache=self.cache, detector=detector,
+            on_branch=self._on_branch)
         self.interp.sandbox_unsafe = cfg.sandbox_unsafe_events
         self.result = RunResult(program, self.config, detector)
         self.result.total_edges = program.num_edges

@@ -34,6 +34,8 @@ equivalence invariant"):
   and contain no call, return or syscall; a load/store hook is skipped
   for a word the detector's shadow marks legal (its ``legal_cost`` is
   static) and not emitted for a detector that overrides neither;
+* every fused load and store calls ``Cache.access`` (the sole owner of
+  the cache's last-line memo) and inlines the ``MainMemory`` access;
 * a faulting instruction inside a block (``div`` by zero, stack
   overflow) first flushes the cycles/instret of the instructions
   already executed and restores the faulting PC, reproducing the
@@ -68,7 +70,7 @@ from repro.cpu.timing import PREDICATED_SKIP_COST
 from repro.detectors.base import Detector
 from repro.isa.cfg import BLOCK_OPS, basic_runs
 from repro.isa.instructions import Reg
-from repro.memory.main_memory import NULL_GUARD, MainMemory
+from repro.memory.main_memory import NULL_GUARD
 from repro.resilience import site_hook
 
 _SP = Reg.SP
@@ -158,11 +160,12 @@ class _BlockCompiler:
     and instret of the instructions already completed and parks
     ``core.pc`` on the faulting instruction.
 
-    One block serves the taken path and NT-paths: a store tests for L1
-    volatile overflow inside an NT-path (flushing the completed prefix
-    and returning ``'overflow'`` mid-block, exactly where the reference
-    per-instruction loop would stop) and, under an active journal,
-    records the old value of its first write to a non-monitor address.
+    One block serves the taken path and NT-paths: a store tests the
+    ``Cache.access`` result for L1 volatile overflow inside an NT-path
+    (flushing the completed prefix and returning ``'overflow'``
+    mid-block, exactly where the reference per-instruction loop would
+    stop) and, under an active journal, records the old value of its
+    first write to a non-monitor address.
     """
 
     def __init__(self, interp):
@@ -180,30 +183,13 @@ class _BlockCompiler:
         self.legal_cost = det.legal_cost if self.shadow is not None else 0
         self.has_cache = interp.cache is not None
         self.l1_hit = interp.costs.l1_hit
-        # Plain MainMemory accesses can be inlined (bounds guard + list
-        # index); the detailed-CMP memory views cannot.
-        self.inline_read = type(interp.memory) is MainMemory
-        # The cache's last-line memo can be inlined too (one compare
-        # chain instead of a method call) when the line size is a power
-        # of two, so the line number is a shift.  Engines may swap
-        # interp.cache mid-run (CMP borrowed caches), but always for
-        # one built from the same config, so the geometry constants
-        # bound here stay valid.
-        self.line_shift = None
-        self.cache_hit = None
-        if self.has_cache:
-            line_words = interp.cache.line_words
-            if line_words > 0 and line_words & (line_words - 1) == 0:
-                self.line_shift = line_words.bit_length() - 1
-                self.cache_hit = interp.cache.hit_latency
         # Generated source depends on the program and on exactly the
         # constants bound above; code memoised on the Program is keyed
         # by this tuple (plus the leader), so any constant added above
         # must be added here too.
         self.variant = (self.has_det, self.hooks, self.shadow is None,
                         self.legal_cost, self.has_cache, self.l1_hit,
-                        self.inline_read, self.line_shift,
-                        self.cache_hit, tuple(sorted(self.cost.items())))
+                        tuple(sorted(self.cost.items())))
 
     # ------------------------------------------------------------------
 
@@ -317,29 +303,23 @@ class _BlockCompiler:
     # ------------------------------------------------------------------
 
     def _read_lines(self):
-        """Source reading memory at ``_a`` into ``_v``.
-
-        With plain MainMemory the bounds guard is inlined and the
-        read is a list index; the guarded fallback call raises the
-        exact reference fault (NULL_ACCESS/MEM_OOB) for bad addresses.
-        """
-        if self.inline_read:
-            return ['if _a < %d or _a >= _msize:' % NULL_GUARD,
-                    '    _rd(_a)',
-                    '_v = _cells[_a]']
-        return ['_v = _rd(_a)']
+        """Source reading memory at ``_a`` into ``_v``: the bounds
+        guard is inlined and the read is a list index; the guarded
+        fallback call raises the exact reference fault
+        (NULL_ACCESS/MEM_OOB) for bad addresses."""
+        return ['if _a < %d or _a >= _msize:' % NULL_GUARD,
+                '    _rd(_a)',
+                '_v = _cells[_a]']
 
     def _write_lines(self):
         """Source writing ``_v`` to memory at ``_a``.
 
-        With plain MainMemory the bounds guard and MainMemory.write's
-        first-write-only journal capture (monitor area excepted) are
-        inlined; the active journal, when there is one, is always
-        ``nt_journal``.  Out-of-bounds addresses take the fallback
-        call, which raises the exact reference fault.
+        The bounds guard and MainMemory.write's first-write-only
+        journal capture (monitor area excepted) are inlined; the active
+        journal, when there is one, is always ``nt_journal``.
+        Out-of-bounds addresses take the fallback call, which raises
+        the exact reference fault.
         """
-        if not self.inline_read:
-            return ['_wr(_a, _v)']
         return ['if _a < %d or _a >= _msize:' % NULL_GUARD,
                 '    _wr(_a, _v)',
                 'elif _mem._journal is None or _a in _jl'
@@ -409,29 +389,8 @@ class _BlockCompiler:
             static = cost
             cy = False
             if self.has_cache:
-                if self.line_shift is not None:
-                    # Inlined last-line memo: reproduces the memo-hit
-                    # arm of Cache.access exactly (tick, lru, hits),
-                    # delegating to the method on a memo miss with the
-                    # tick restored so the method re-bumps it.
-                    lines.extend([
-                        '_t = _cache._tick + 1',
-                        '_cache._tick = _t',
-                        '_ln = _cache._last_line',
-                        'if _ln is not None'
-                        ' and _cache._last_tag == _a >> %d'
-                        ' and _ln.version == _cv:' % self.line_shift,
-                        '    _ln.lru = _t',
-                        '    _cache.hits += 1',
-                        '    _cy += %d' % self.cache_hit,
-                        'else:',
-                        '    _cache._tick = _t - 1',
-                        '    _cy += _cache.access(_a, False, _cv)'
-                        '.cycles',
-                    ])
-                else:
-                    lines.append(
-                        '_cy += _cache.access(_a, False, _cv).cycles')
+                lines.append(
+                    '_cy += _cache.access(_a, False, _cv).cycles')
                 cy = True
             else:
                 static += self.l1_hit
@@ -451,33 +410,12 @@ class _BlockCompiler:
             static = cost
             cy = False
             if self.has_cache:
-                miss = ''
-                if self.line_shift is not None:
-                    # Inlined last-line memo (see the load arm).  A
-                    # memo hit can never signal volatile overflow (the
-                    # preallocated hit result never does), so the
-                    # overflow exit lives on the miss arm only.
-                    miss = '    '
-                    lines.extend([
-                        '_t = _cache._tick + 1',
-                        '_cache._tick = _t',
-                        '_ln = _cache._last_line',
-                        'if _ln is not None'
-                        ' and _cache._last_tag == _a >> %d'
-                        ' and _ln.version == _cv:' % self.line_shift,
-                        '    _ln.dirty = True',
-                        '    _ln.lru = _t',
-                        '    _cache.hits += 1',
-                        '    _tc = %d' % self.cache_hit,
-                        'else:',
-                        '    _cache._tick = _t - 1',
-                    ])
                 # Inside an NT-path, L1 may refuse to buffer another
                 # volatile line.  The reference charges the store's
                 # full cycles, leaves pc/instret on the store and
                 # returns 'overflow'; flush the completed prefix
                 # exactly as the SimFault handler would.
-                lines.extend(miss + line for line in [
+                lines.extend([
                     '_res = _cache.access(_a, True, _cv)',
                     '_tc = _res.cycles',
                     'if _res.volatile_overflow and _interp.in_nt_path:',
@@ -541,7 +479,9 @@ class FastInterpreter(Interpreter):
 
     ``step`` is the inherited reference step; only the drive loop
     (``drive_taken`` and ``drive_nt``) differs, dispatching through the
-    block table.
+    block table.  ``memory`` must be a plain
+    :class:`~repro.memory.main_memory.MainMemory`: blocks index its
+    cells directly.
     """
 
     __slots__ = ('_n', '_fast', 'block_compile_failed', 'block_count',
@@ -553,9 +493,7 @@ class FastInterpreter(Interpreter):
                          cache=cache, detector=detector,
                          on_branch=on_branch)
         self._n = len(self.code)
-        # Built lazily: short-lived interpreters (one per NT-path in
-        # the detailed CMP engine, which only calls ``step``) never
-        # build a table.
+        # Built lazily, at the first drive call.
         self._fast = None
         self.block_compile_failed = False
         self.block_count = 0
@@ -654,12 +592,13 @@ class FastInterpreter(Interpreter):
             '_stk': memory.stack_limit,
             '_rd': memory.read,
             '_wr': memory.write,
+            '_cells': memory.cells,
+            '_msize': memory.size,
+            '_mem': memory,
+            '_jl': memory.nt_journal,
+            '_mb': memory.monitor_base,
+            '_ml': memory.monitor_limit,
         }
-        if compiler.inline_read:
-            namespace.update(_cells=memory.cells, _msize=memory.size,
-                             _mem=memory, _jl=memory.nt_journal,
-                             _mb=memory.monitor_base,
-                             _ml=memory.monitor_limit)
         if compiler.hooks:
             namespace.update(_dl=self.detector.on_load,
                              _ds=self.detector.on_store,

@@ -1,16 +1,16 @@
 """NT-path event tracing: a debugging view of a PathExpander run.
 
-Wraps a :class:`~repro.core.engine.PathExpanderEngine` run and collects
-a human-readable event log -- every spawn, its forced edge, its
-termination, and every detector report -- which is what you want when
-figuring out why a bug was (or was not) exposed.
+Runs a program through :func:`~repro.core.runner.run_program` (so the
+result is the one an untraced run gives) and collects a human-readable
+event log -- every spawn, its forced edge, its termination, and every
+detector report -- which is what you want when figuring out why a bug
+was (or was not) exposed.
 """
 
 from __future__ import annotations
 
 from repro.core.config import PathExpanderConfig
-from repro.core.engine import PathExpanderEngine
-from repro.cpu.syscalls import IOContext
+from repro.core.runner import run_program
 
 
 class TraceEvent:
@@ -33,15 +33,19 @@ class TracedRun:
         config = config or PathExpanderConfig(collect_nt_details=True)
         if not config.collect_nt_details:
             config = config.replace(collect_nt_details=True)
-        io = IOContext(text_input=text_input, int_input=int_input)
-        self.engine = PathExpanderEngine(program, detector=detector,
-                                         config=config, io=io)
         self.program = program
+        self.detector = detector
+        self.config = config
+        self.text_input = text_input
+        self.int_input = int_input
         self.events = []
         self.result = None
 
     def run(self):
-        result = self.engine.run()
+        result = run_program(self.program, detector=self.detector,
+                             config=self.config,
+                             text_input=self.text_input,
+                             int_input=self.int_input)
         self.result = result
         for record in result.nt_details:
             edge = 'taken' if record.edge_taken else 'fall-through'

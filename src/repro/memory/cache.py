@@ -67,22 +67,19 @@ class Cache:
         # preallocated result serves them all (callers treat results as
         # read-only).
         self._hit_result = AccessResult(hit_latency, True)
-        # Last-line memo.  Only an *exact* version match may use it: a
+        # Last-line memo, the only one: both backends reach it through
+        # access().  Only an *exact* version match may use it: a
         # version-v line is always inserted before a committed line of
         # the same tag can appear, so exact match coincides with the
         # first-match scan below and the memo cannot change behaviour.
         self._last_tag = -1
         self._last_line = None
         # Exact list of resident lines with version != COMMITTED.
-        # Squash-time gang invalidation and segment commit then walk
-        # the (typically tiny) volatile population instead of every
-        # set -- the per-squash full-cache sweep would otherwise
-        # dominate spawn-heavy runs.
+        # Squash-time gang invalidation then walks the (typically
+        # tiny) volatile population instead of every set -- the
+        # per-squash full-cache sweep would otherwise dominate
+        # spawn-heavy runs.
         self._volatile = []
-
-    def _locate(self, addr):
-        line_no = addr // self.line_words
-        return self._sets[line_no % self.num_sets], line_no
 
     def access(self, addr, is_write, version=COMMITTED):
         """Simulate one access; returns an :class:`AccessResult`."""
@@ -132,8 +129,6 @@ class Cache:
             lines.remove(victim)
             if victim.version != COMMITTED:
                 self._volatile.remove(victim)    # rare: overflow only
-            if victim is self._last_line:
-                self._last_line = None
         line = CacheLine(tag, version if is_write else COMMITTED,
                          is_write, self._tick)
         lines.append(line)
@@ -163,20 +158,6 @@ class Cache:
         self._volatile = keep
         self._last_line = None
         return dropped
-
-    def commit_version(self, version):
-        """Lazily retag ``version`` lines as committed (segment commit)."""
-        changed = 0
-        keep = []
-        for line in self._volatile:
-            if line.version == version:
-                line.version = COMMITTED
-                changed += 1
-            else:
-                keep.append(line)
-        self._volatile = keep
-        self._last_line = None
-        return changed
 
     def volatile_lines(self, version=None):
         if version is None:

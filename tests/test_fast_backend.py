@@ -15,12 +15,11 @@ import gc
 import pytest
 
 from repro.core.config import (BACKEND_CHOICES, PathExpanderConfig,
-                               default_backend, set_default_backend)
+                               default_backend)
+import repro.core.engine as engine_mod
 from repro.core.engine import PathExpanderEngine
 from repro.core.runner import run_program
-import repro.cpu.backend as backend_mod
 import repro.cpu.fastinterp as fastinterp
-from repro.cpu.backend import make_interpreter
 from repro.cpu.exceptions import ProgramExit, SimFault
 from repro.cpu.fastinterp import FastInterpreter, _BlockCompiler
 from repro.cpu.interpreter import Interpreter
@@ -703,10 +702,6 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             PathExpanderConfig(backend='jit')
 
-    def test_make_interpreter_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            make_interpreter('jit', *([None] * 6))
-
     def test_replace_preserves_backend(self):
         config = PathExpanderConfig(backend='reference')
         assert config.replace(mode='cmp').backend == 'reference'
@@ -724,17 +719,6 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             default_backend()
 
-    def test_set_default_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv('REPRO_BACKEND', 'reference')
-        set_default_backend('fast')
-        try:
-            assert default_backend() == 'fast'
-        finally:
-            set_default_backend(None)
-        assert default_backend() == 'reference'
-        with pytest.raises(ValueError):
-            set_default_backend('bogus')
-
     def test_construction_failure_falls_back_to_reference(
             self, monkeypatch):
         # run_program's degradation path re-executes the run on the
@@ -746,7 +730,7 @@ class TestBackendSelection:
         class Exploding(FastInterpreter):
             def __init__(self, *args, **kwargs):
                 raise RuntimeError('boom')
-        monkeypatch.setitem(backend_mod._CLASSES, 'fast', Exploding)
+        monkeypatch.setitem(engine_mod.INTERPRETERS, 'fast', Exploding)
         events.clear()
         result = run_program(program,
                              config=PathExpanderConfig(backend='fast'))

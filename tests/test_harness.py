@@ -134,6 +134,28 @@ class TestTrace:
         text = traced.format(limit=2)
         assert 'more events' in text
 
+    @pytest.mark.parametrize('mode', ['software', 'standard'])
+    def test_trace_result_equals_untraced_run(self, mode):
+        # A traced run is the run_program run: software-mode recost
+        # included (it differs from the raw engine cycles).
+        from repro.core.config import PathExpanderConfig
+        from repro.core.runner import make_detector, run_program
+        program = compile_minic('''
+            int main() {
+              int a[4];
+              for (int i = 0; i < 40; i = i + 1) {
+                if (i == 99) { a[i] = i; }
+              }
+              return 0;
+            }''', name='traced3')
+        config = PathExpanderConfig(mode=mode, collect_nt_details=True)
+        expected = run_program(program, detector=make_detector('ccured'),
+                               config=config)
+        traced = TracedRun(program, detector=make_detector('ccured'),
+                           config=config).run()
+        assert traced.nt_spawned >= 1
+        assert traced.to_dict() == expected.to_dict()
+
 
 class TestCLI:
     def _run_cli(self, argv, capsys):
@@ -190,6 +212,19 @@ class TestCLI:
         assert warm['metrics']['cache_hits'] \
             == warm['metrics']['jobs_submitted'] == 4
         assert warm['rows'] == cold['rows']
+
+    @pytest.mark.parametrize('argv', [
+        ['experiment', 'ext2'],
+        ['batch', 'ext2', '--jobs', '2']])
+    def test_timed_out_job_fails_with_one_line(self, capsys, argv):
+        # --timeout holds without --jobs/--cache too, and a job that
+        # times out on every attempt exits 1 with its message only.
+        from repro.cli import main
+        assert main(argv + ['--timeout', '0.000001']) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ''
+        assert captured.err.count('\n') == 1
+        assert 'failed after 3 attempt(s): timed out' in captured.err
 
     def test_run_and_disasm(self, capsys, tmp_path):
         source_file = tmp_path / 'demo.mc'

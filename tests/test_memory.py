@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.cpu.exceptions import FaultKind, SimFault
 from repro.detectors.memcheck import MemoryCheckLogic
 from repro.memory.allocator import RED_ZONE, HeapAllocator
-from repro.memory.cache import COMMITTED, Cache
+from repro.memory.cache import Cache
 from repro.memory.main_memory import NULL_GUARD, MainMemory
 
 
@@ -337,13 +337,6 @@ class TestCache:
         assert dropped == 1
         assert cache.volatile_lines() == 0
         assert cache.access(0, False).hit
-
-    def test_commit_version_retags(self):
-        cache = self._cache()
-        cache.access(8, True, version=3)
-        assert cache.commit_version(3) == 1
-        assert cache.volatile_lines() == 0
-        assert cache.access(8, False, COMMITTED).hit
 
     def test_write_to_committed_line_takes_version(self):
         cache = self._cache()

@@ -7,7 +7,7 @@
 * the allocator never hands out overlapping objects and survives
   snapshot/restore round trips;
 * the cache's volatile accounting is consistent under random access
-  streams;
+  streams, and its last-line memo agrees with a full set scan;
 * BTB counters saturate and never exceed 4 bits;
 * PathExpander never changes a program's observable output, for
   arbitrary inputs.
@@ -206,6 +206,47 @@ class TestCacheProperties:
         for addr in addresses:
             cache.access(addr, False)
         assert cache.hits + cache.misses == len(addresses)
+
+
+    @settings(_SETTINGS, max_examples=200)
+    @given(st.lists(st.one_of(
+        # addr None re-touches the previous address: a memo candidate
+        st.tuples(st.just('access'),
+                  st.one_of(st.none(),
+                            st.integers(min_value=0, max_value=47)),
+                  st.booleans(), st.integers(min_value=0, max_value=2)),
+        st.tuples(st.just('gang'), st.integers(min_value=1, max_value=2)),
+        st.tuples(st.just('reset'))), min_size=1, max_size=150))
+    def test_memo_equals_set_scan(self, ops):
+        # The last-line memo in Cache.access is the only one both
+        # backends use: a cache that always scans must agree with it.
+        memo = Cache(size_bytes=128, ways=2, line_bytes=16)
+        scan = Cache(size_bytes=128, ways=2, line_bytes=16)
+
+        def touch(addr, is_write, version):
+            scan._last_line = None
+            got = memo.access(addr, is_write, version)
+            want = scan.access(addr, is_write, version)
+            assert (got.cycles, got.hit, got.volatile_overflow,
+                    got.displaced_dirty) \
+                == (want.cycles, want.hit, want.volatile_overflow,
+                    want.displaced_dirty)
+
+        addr = 0
+        for op in ops:
+            if op[0] == 'access':
+                addr = addr if op[1] is None else op[1]
+                touch(addr, op[2], op[3])
+            elif op[0] == 'gang':
+                assert memo.gang_invalidate(op[1]) \
+                    == scan.gang_invalidate(op[1])
+                # A squashed path's line must not survive in the memo.
+                touch(addr, False, op[1])
+            else:
+                memo.reset()
+                scan.reset()
+            assert (memo.hits, memo.misses, memo.volatile_lines()) \
+                == (scan.hits, scan.misses, scan.volatile_lines())
 
 
 # ---------------------------------------------------------------------
