@@ -37,12 +37,6 @@ class AppSpec:
     def bugs(self, version=0):
         return list(self.versions.get(version, []))
 
-    def all_bugs(self):
-        bugs = []
-        for version in sorted(self.versions):
-            bugs.extend(self.versions[version])
-        return bugs
-
     def default_input(self):
         return self.module.default_input()
 
@@ -63,13 +57,6 @@ class AppSpec:
         return sorted(
             version for version, bugs in self.versions.items()
             if bugs and all(bug.assert_id is not None for bug in bugs))
-
-    @property
-    def memory_versions(self):
-        """Versions whose bugs are memory bugs (CCured/iWatcher)."""
-        return sorted(
-            version for version, bugs in self.versions.items()
-            if bugs and all(bug.assert_id is None for bug in bugs))
 
     def __repr__(self):
         return '<AppSpec %s: %d versions, tools=%s>' % (

@@ -32,42 +32,29 @@ class BranchTargetBuffer:
         self._tick = 0
         self.evictions = 0
 
-    def _lookup(self, addr, allocate):
+    def edge_count(self, addr, taken):
+        """Exercise count of one edge; a BTB miss reads as zero.
+
+        A hit bumps the entry's LRU stamp, as every lookup does; a miss
+        allocates nothing.
+        """
         self._tick += 1
-        entries = self._sets[addr % self.num_sets]
-        for entry in entries:
+        for entry in self._sets[addr % self.num_sets]:
             if entry.addr == addr:
                 entry.lru = self._tick
-                return entry
-        if not allocate:
-            return None
-        if len(entries) >= self.ways:
-            victim = min(entries, key=lambda e: e.lru)
-            entries.remove(victim)
-            self.evictions += 1
-        entry = _Entry(addr, self._tick)
-        entries.append(entry)
-        return entry
-
-    def edge_count(self, addr, taken):
-        """Exercise count of one edge; a BTB miss reads as zero."""
-        entry = self._lookup(addr, allocate=False)
-        if entry is None:
-            return 0
-        return entry.taken_count if taken else entry.nt_count
+                return entry.taken_count if taken else entry.nt_count
+        return 0
 
     def observe_edge(self, addr, taken):
         """Count one execution of an edge and return its entry.
 
-        One lookup serving both the counter bump and the caller's
-        subsequent spawn decision (:meth:`NTPathSelector.consider`).
-        The reference pair ``record_edge`` + ``edge_count`` performed
-        back-to-back lookups of the *same* entry, so collapsing them
-        preserves the relative LRU order of every entry -- and
-        therefore every eviction and every counter value.
+        One lookup (allocating on a miss, evicting the set's least
+        recently used entry) serves both the counter bump and the
+        caller's spawn decision (:meth:`NTPathSelector.consider`).
+        The engine inlines this and ``consider`` at every retired
+        taken-path branch; ``tests/test_properties.py`` pins the two
+        copies equal.
         """
-        # _lookup(allocate=True) inlined: this runs once per retired
-        # taken-path branch.
         tick = self._tick + 1
         self._tick = tick
         entries = self._sets[addr % self.num_sets]
@@ -89,15 +76,8 @@ class BranchTargetBuffer:
             entry.nt_count += 1
         return entry
 
-    def record_edge(self, addr, taken):
-        """Count one execution (or NT-path entry) of an edge."""
-        self.observe_edge(addr, taken)
-
     def reset_counters(self):
         for entries in self._sets:
             for entry in entries:
                 entry.taken_count = 0
                 entry.nt_count = 0
-
-    def occupancy(self):
-        return sum(len(entries) for entries in self._sets)

@@ -36,7 +36,6 @@ from repro.cpu.exceptions import ProgramExit, SimFault
 from repro.cpu.interpreter import Interpreter
 from repro.cpu.state import Core
 from repro.cpu.syscalls import IOContext
-from repro.cpu.timing import CostModel
 from repro.memory.allocator import HeapAllocator
 from repro.memory.cache import Cache
 from repro.memory.main_memory import MainMemory
@@ -155,13 +154,9 @@ class DetailedCmpEngine:
             self.memory.cells[addr] = value
         self.allocator = HeapAllocator(self.memory.heap_base,
                                        self.memory.stack_limit)
-        self.costs = CostModel(l1_hit=cfg.l1_hit_latency,
-                               l2_hit=cfg.l2_hit_latency,
-                               spawn_overhead=cfg.spawn_overhead,
-                               squash_overhead=cfg.squash_overhead)
         self.btb = BranchTargetBuffer(entries=cfg.btb_entries,
                                       ways=cfg.btb_ways)
-        self.coverage = CoverageTracker(program)
+        self.coverage = CoverageTracker()
         self.selector = NTPathSelector(self.btb, cfg)
 
         if detector is not None and hasattr(detector, 'attach'):
@@ -179,8 +174,7 @@ class DetailedCmpEngine:
         # this engine always runs the reference ``Interpreter``.
         self.primary_interp = Interpreter(
             program, self._taken_view, self.allocator,
-            self.primary, self.io, self.costs,
-            cache=self._new_cache() if cfg.enable_cache_model else None,
+            self.primary, self.io, self._new_cache(),
             detector=detector, on_branch=self._on_primary_branch)
 
         self._nt_contexts = []
@@ -327,7 +321,7 @@ class DetailedCmpEngine:
         selector = self.selector
         instret = self.primary.instret
         # Counter reset must precede the busy check, as in the
-        # reference observe_retired-then-busy ordering.
+        # engine's inlined copy of this decision.
         if instret >= selector.next_reset:
             selector.reset_now(instret)
         self._maybe_force_commit()
@@ -371,9 +365,7 @@ class DetailedCmpEngine:
         self._segments.append(segment)
 
         interp = Interpreter(self.program, view, self.allocator.clone(),
-                             core, self.io, self.costs,
-                             cache=self._new_cache()
-                             if config.enable_cache_model else None,
+                             core, self.io, self._new_cache(),
                              detector=self.detector)
         interp.on_branch = self._on_nt_branch(interp)
         # NT interpreters here are stepped per-instruction for cycle

@@ -71,7 +71,6 @@ class PathExpanderConfig:
                  selection_random_rate=0.0,
                  selection_random_seed=0xC0FFEE,
                  num_cores=4,
-                 enable_cache_model=True,
                  max_instructions=50_000_000,
                  collect_nt_details=False,
                  # watchdog run budgets (None = unbounded); see
@@ -119,7 +118,6 @@ class PathExpanderConfig:
         self.selection_random_rate = selection_random_rate
         self.selection_random_seed = selection_random_seed
         self.num_cores = num_cores
-        self.enable_cache_model = enable_cache_model
         self.max_instructions = max_instructions
         self.collect_nt_details = collect_nt_details
         self.max_wall_seconds = max_wall_seconds
@@ -161,9 +159,3 @@ class PathExpanderConfig:
     @classmethod
     def baseline(cls, **overrides):
         return cls(mode=Mode.BASELINE, **overrides)
-
-    @classmethod
-    def siemens(cls, mode=Mode.STANDARD, **overrides):
-        """Paper setup for the small Siemens apps: MaxNTPathLength=100."""
-        overrides.setdefault('max_nt_path_length', 100)
-        return cls(mode=mode, **overrides)

@@ -29,7 +29,6 @@ from repro.cpu.fastinterp import FastInterpreter
 from repro.cpu.interpreter import Interpreter
 from repro.cpu.state import Core
 from repro.cpu.syscalls import IOContext
-from repro.cpu.timing import CostModel
 from repro.memory.allocator import HeapAllocator
 from repro.memory.cache import Cache
 from repro.memory.checkpoint import Checkpoint
@@ -65,21 +64,14 @@ class PathExpanderEngine:
         self.core.reset(program.entry, self.memory.stack_top)
 
         cfg = self.config
-        self.costs = CostModel(l1_hit=cfg.l1_hit_latency,
-                               l2_hit=cfg.l2_hit_latency,
-                               spawn_overhead=cfg.spawn_overhead,
-                               squash_overhead=cfg.squash_overhead)
-        if cfg.enable_cache_model:
-            self.cache = Cache(size_bytes=cfg.l1_size_bytes,
-                               ways=cfg.l1_ways,
-                               line_bytes=cfg.l1_line_bytes,
-                               hit_latency=cfg.l1_hit_latency,
-                               miss_latency=cfg.l2_hit_latency)
-        else:
-            self.cache = None
+        self.cache = Cache(size_bytes=cfg.l1_size_bytes,
+                           ways=cfg.l1_ways,
+                           line_bytes=cfg.l1_line_bytes,
+                           hit_latency=cfg.l1_hit_latency,
+                           miss_latency=cfg.l2_hit_latency)
         self.btb = BranchTargetBuffer(entries=cfg.btb_entries,
                                       ways=cfg.btb_ways)
-        self.coverage = CoverageTracker(program)
+        self.coverage = CoverageTracker()
         self.selector = NTPathSelector(self.btb, cfg)
         self.scheduler = None
         if cfg.mode == Mode.CMP:
@@ -93,8 +85,7 @@ class PathExpanderEngine:
 
         self.interp = INTERPRETERS[cfg.resolved_backend](
             program, self.memory, self.allocator, self.core, self.io,
-            self.costs, cache=self.cache, detector=detector,
-            on_branch=self._on_branch)
+            self.cache, detector=detector, on_branch=self._on_branch)
         self.interp.sandbox_unsafe = cfg.sandbox_unsafe_events
         self.result = RunResult(program, self.config, detector)
         self.result.total_edges = program.num_edges
@@ -216,9 +207,10 @@ class PathExpanderEngine:
             return
         self.result.taken_branch_count += 1
         self._taken_edges.add(addr << 1 | taken)
-        # BranchTargetBuffer.observe_edge inlined (same reason as the
-        # selector inline below; btb.py holds the reference copy and
-        # the LRU-equivalence argument).
+        # BranchTargetBuffer.observe_edge inlined, for the same reason
+        # as the selector inline below.  tests/test_properties.py pins
+        # this copy of the spawn decision equal to observe_edge +
+        # consider, which the detailed CMP engine runs.
         btb = self.btb
         tick = btb._tick + 1
         btb._tick = tick
@@ -243,8 +235,8 @@ class PathExpanderEngine:
             return
         selector = self.selector
         instret = self.core.instret
-        # The periodic counter reset must precede the CMP busy check
-        # (the reference path ran observe_retired unconditionally).
+        # The periodic counter reset must precede the CMP busy check:
+        # it falls due at a retired branch whether or not a core is free.
         if instret >= selector.next_reset:
             selector.reset_now(instret)
         if self.scheduler is not None \
@@ -317,7 +309,7 @@ class PathExpanderEngine:
         io_snapshot = self.io.snapshot() \
             if config.sandbox_unsafe_events else None
         saved_cache = interp.cache
-        if self.scheduler is not None and interp.cache is not None:
+        if self.scheduler is not None:
             interp.cache = self._borrow_nt_cache()
 
         core.pc = target
@@ -358,13 +350,11 @@ class PathExpanderEngine:
         interp.exit_nt()
 
         if self.scheduler is not None:
-            if interp.cache is not None:
-                interp.cache = saved_cache
+            interp.cache = saved_cache
             core.cycles = cycles_at_spawn + config.spawn_overhead
             self.scheduler.commit(cycles_at_spawn, nt_cycles)
         else:
-            if interp.cache is not None:
-                interp.cache.gang_invalidate(_NT_VERSION)
+            interp.cache.gang_invalidate(_NT_VERSION)
             core.cycles = (cycles_at_spawn + config.spawn_overhead
                            + nt_cycles + config.squash_overhead)
 

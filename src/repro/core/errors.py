@@ -59,12 +59,6 @@ class CheckpointCorruption(ReproError):
     kind = 'checkpoint_corrupt'
 
 
-class CacheCorruption(ReproError):
-    """An on-disk result-cache record failed validation."""
-
-    kind = 'cache_corrupt'
-
-
 class WorkerCrash(ReproError):
     """A job-pool worker died (or was made to die) mid-job."""
 

@@ -88,14 +88,6 @@ class RunResult:
         return self.total_covered / self.total_edges \
             if self.total_edges else 0.0
 
-    @property
-    def nt_reports(self):
-        return [r for r in self.reports if r.in_nt_path]
-
-    @property
-    def taken_reports(self):
-        return [r for r in self.reports if not r.in_nt_path]
-
     def count_termination(self, reason):
         self.nt_terminations[reason] = \
             self.nt_terminations.get(reason, 0) + 1

@@ -48,19 +48,12 @@ class NTPathSelector:
         self.resets += 1
         self.next_reset = instret + self.reset_interval
 
-    def observe_retired(self, instret):
-        """Periodic counter reset, driven by retired instructions."""
-        if instret >= self.next_reset:
-            self.reset_now(instret)
-
     def consider(self, entry, nt_edge_taken):
-        """:meth:`should_spawn` against an already-looked-up BTB entry.
+        """Decide whether to explore the non-taken edge of a branch.
 
-        The engines obtain ``entry`` from
-        :meth:`BranchTargetBuffer.observe_edge` on the same branch, so
-        reading/bumping its counters directly is exactly the reference
-        ``edge_count`` + ``record_edge`` sequence minus the redundant
-        lookups.
+        ``entry`` is the branch's BTB entry, just returned by
+        :meth:`BranchTargetBuffer.observe_edge` for the taken edge.  A
+        selected edge is bumped too: entering the NT-path exercises it.
         """
         self.considered += 1
         count = entry.taken_count if nt_edge_taken else entry.nt_count
@@ -76,18 +69,4 @@ class NTPathSelector:
                 entry.taken_count += 1
         elif entry.nt_count < COUNTER_MAX:
             entry.nt_count += 1
-        return True
-
-    def should_spawn(self, branch_addr, nt_edge_taken):
-        """Decide whether to explore the non-taken edge of a branch."""
-        self.considered += 1
-        count = self.btb.edge_count(branch_addr, nt_edge_taken)
-        if count >= self.threshold:
-            if self.random_rate <= 0.0 \
-                    or self._next_random() >= self.random_rate:
-                return False
-            self.random_selected += 1
-        self.selected += 1
-        # Entering the NT-path exercises the edge (Section 4.2(1)).
-        self.btb.record_edge(branch_addr, nt_edge_taken)
         return True

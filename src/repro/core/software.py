@@ -37,18 +37,6 @@ def software_cycles(result, config):
             + logging + rollback)
 
 
-def software_baseline_cycles(baseline_result, config):
-    """PIN dilation applied to a run without PathExpander.
-
-    The paper's software-vs-hardware comparison measures overhead
-    against the *native* (uninstrumented) baseline, so the software
-    implementation's overhead includes the instrumentation dilation of
-    the taken path itself.
-    """
-    return (baseline_result.primary_cycles * config.sw_dilation
-            + baseline_result.taken_branch_count * config.sw_branch_cost)
-
-
 def apply_software_costs(result, config):
     """Mutate a run result so ``cycles`` reflects the software model."""
     result.cycles = software_cycles(result, config)

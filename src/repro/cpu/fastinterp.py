@@ -181,15 +181,12 @@ class _BlockCompiler:
             and getattr(type(det), 'on_store', None) is Detector.on_store)
         self.shadow = getattr(det, 'shadow', None) if self.hooks else None
         self.legal_cost = det.legal_cost if self.shadow is not None else 0
-        self.has_cache = interp.cache is not None
-        self.l1_hit = interp.costs.l1_hit
         # Generated source depends on the program and on exactly the
-        # constants bound above; code memoised on the Program is keyed
-        # by this tuple (plus the leader), so any constant added above
-        # must be added here too.
+        # constants bound above (the cost table is a module constant);
+        # code memoised on the Program is keyed by this tuple (plus the
+        # leader), so any constant added above must be added here too.
         self.variant = (self.has_det, self.hooks, self.shadow is None,
-                        self.legal_cost, self.has_cache, self.l1_hit,
-                        tuple(sorted(self.cost.items())))
+                        self.legal_cost)
 
     # ------------------------------------------------------------------
 
@@ -386,61 +383,45 @@ class _BlockCompiler:
                      '_a = r[%d] + %d' % (b, c)]
             lines.extend(self._read_lines())
             lines.append('r[%d] = _v' % a)
+            lines.append('_cy += _cache.access(_a, False, _cv).cycles')
             static = cost
-            cy = False
-            if self.has_cache:
-                lines.append(
-                    '_cy += _cache.access(_a, False, _cv).cycles')
-                cy = True
-            else:
-                static += self.l1_hit
             if self.hooks:
                 lines.extend(self._hook_lines(pc, '_dl'))
                 static += self.legal_cost
-                cy = True
-            return _Emitted(lines, static, risky=True, cy=cy,
-                            cache=self.has_cache)
+            return _Emitted(lines, static, risky=True, cy=True,
+                            cache=True)
         if op == 'st':
             if not (_is_reg(a) and _is_reg(b) and _is_imm(c)):
                 return None
             lines = ['_i = %d' % index,
                      '_a = r[%d] + %d' % (b, c),
                      '_v = r[%d]' % a,
-                     '_interp.store_count += 1']
+                     '_interp.store_count += 1',
+                     # Inside an NT-path, L1 may refuse to buffer another
+                     # volatile line.  The reference charges the store's
+                     # full cycles, leaves pc/instret on the store and
+                     # returns 'overflow'; flush the completed prefix
+                     # exactly as the SimFault handler would.
+                     '_res = _cache.access(_a, True, _cv)',
+                     '_tc = _res.cycles',
+                     'if _res.volatile_overflow and _interp.in_nt_path:',
+                     '    core.pc = %d' % pc,
+                     '    core.cycles += _cy + _SP%d[%d] + %d + _tc'
+                     % (leader, index, cost),
+                     '    core.instret += %d' % index,
+                     "    return 'overflow'"]
+            # The store's own cache latency is committed only once the
+            # write succeeds (the reference discards it when
+            # memory.write faults), but the cache state mutation and
+            # store_count survive -- exactly as in step().
+            lines.extend(self._write_lines())
+            lines.append('_cy += _tc')
             static = cost
-            cy = False
-            if self.has_cache:
-                # Inside an NT-path, L1 may refuse to buffer another
-                # volatile line.  The reference charges the store's
-                # full cycles, leaves pc/instret on the store and
-                # returns 'overflow'; flush the completed prefix
-                # exactly as the SimFault handler would.
-                lines.extend([
-                    '_res = _cache.access(_a, True, _cv)',
-                    '_tc = _res.cycles',
-                    'if _res.volatile_overflow and _interp.in_nt_path:',
-                    '    core.pc = %d' % pc,
-                    '    core.cycles += _cy + _SP%d[%d] + %d + _tc'
-                    % (leader, index, cost),
-                    '    core.instret += %d' % index,
-                    "    return 'overflow'",
-                ])
-                # The store's own cache latency is committed only once
-                # the write succeeds (the reference discards it when
-                # memory.write faults), but the cache state mutation
-                # and store_count survive -- exactly as in step().
-                lines.extend(self._write_lines())
-                lines.append('_cy += _tc')
-                cy = True
-            else:
-                lines.extend(self._write_lines())
-                static += self.l1_hit
             if self.hooks:
                 lines.extend(self._hook_lines(pc, '_ds'))
                 static += self.legal_cost
-                cy = True
-            return _Emitted(lines, static, risky=True, cy=cy,
-                            cache=self.has_cache)
+            return _Emitted(lines, static, risky=True, cy=True,
+                            cache=True)
         if op == 'push':
             if not _is_reg(a):
                 return None
@@ -487,11 +468,10 @@ class FastInterpreter(Interpreter):
     __slots__ = ('_n', '_fast', 'block_compile_failed', 'block_count',
                  '_fault_hook')
 
-    def __init__(self, program, memory, allocator, core, io, costs,
-                 cache=None, detector=None, on_branch=None):
-        super().__init__(program, memory, allocator, core, io, costs,
-                         cache=cache, detector=detector,
-                         on_branch=on_branch)
+    def __init__(self, program, memory, allocator, core, io, cache,
+                 detector=None, on_branch=None):
+        super().__init__(program, memory, allocator, core, io, cache,
+                         detector=detector, on_branch=on_branch)
         self._n = len(self.code)
         # Built lazily, at the first drive call.
         self._fast = None

@@ -21,7 +21,7 @@ termination raises :class:`~repro.cpu.exceptions.ProgramExit`.
 from __future__ import annotations
 
 from repro.cpu.exceptions import FaultKind, ProgramExit, SimFault
-from repro.cpu.timing import PREDICATED_SKIP_COST
+from repro.cpu.timing import OP_COSTS, PREDICATED_SKIP_COST
 from repro.isa.instructions import Reg, Syscall
 
 _SHIFT_MASK = 63
@@ -41,19 +41,18 @@ class Interpreter:
     """
 
     __slots__ = ('program', 'code', 'memory', 'allocator', 'core', 'io',
-                 'costs', 'cache', 'detector', 'on_branch', 'in_nt_path',
+                 'cache', 'detector', 'on_branch', 'in_nt_path',
                  'cache_version', 'store_count', 'sandbox_unsafe',
                  '_cost', 'instret_limit', '_outer_limit')
 
-    def __init__(self, program, memory, allocator, core, io, costs,
-                 cache=None, detector=None, on_branch=None):
+    def __init__(self, program, memory, allocator, core, io, cache,
+                 detector=None, on_branch=None):
         self.program = program
         self.code = program.code
         self.memory = memory
         self.allocator = allocator
         self.core = core
         self.io = io
-        self.costs = costs
         self.cache = cache
         self.detector = detector
         self.on_branch = on_branch
@@ -64,9 +63,8 @@ class Interpreter:
         # syscalls execute speculatively inside NT-paths; the engine
         # rolls the I/O context back at squash.
         self.sandbox_unsafe = False
-        # Dense per-opcode cost table: a plain dict index on the hot
-        # path instead of a CostModel.cost() call per instruction.
-        self._cost = costs.table()
+        # The per-opcode cost table, bound for the hot path.
+        self._cost = OP_COSTS
         # Instruction budget honoured by the fast backend's fused
         # blocks; the reference backend steps singly, so its engine
         # loop enforces the budget between steps instead.
@@ -129,11 +127,7 @@ class Interpreter:
             addr = regs[instr.b] + instr.c
             value = self.memory.read(addr)
             regs[instr.a] = value
-            if self.cache is not None:
-                result = self.cache.access(addr, False, self.cache_version)
-                cost += result.cycles
-            else:
-                cost += self.costs.l1_hit
+            cost += self.cache.access(addr, False, self.cache_version).cycles
             if self.detector is not None:
                 cost += self.detector.on_load(addr, value, self)
             core.pc = pc + 1
@@ -144,14 +138,11 @@ class Interpreter:
             addr = regs[instr.b] + instr.c
             value = regs[instr.a]
             self.store_count += 1
-            if self.cache is not None:
-                result = self.cache.access(addr, True, self.cache_version)
-                cost += result.cycles
-                if result.volatile_overflow and self.in_nt_path:
-                    core.cycles += cost
-                    return 'overflow'
-            else:
-                cost += self.costs.l1_hit
+            result = self.cache.access(addr, True, self.cache_version)
+            cost += result.cycles
+            if result.volatile_overflow and self.in_nt_path:
+                core.cycles += cost
+                return 'overflow'
             self.memory.write(addr, value)
             if self.detector is not None:
                 cost += self.detector.on_store(addr, value, self)

@@ -1,20 +1,23 @@
 """Cycle-cost model.
 
 The paper evaluates on a cycle-accurate out-of-order CMP (Table 2).  A
-Python reproduction cannot be microarchitecturally faithful, so this
-model assigns each instruction a fixed cost and adds memory-hierarchy
-latency from the cache model, using Table 2's latencies.  All reported
-results are overhead *ratios*, which this preserves (see DESIGN.md,
-"Fidelity losses").
+Python reproduction cannot be microarchitecturally faithful, so each
+instruction has a fixed cost (:data:`OP_COSTS`) and every load or store
+adds the latency the cache model (:mod:`repro.memory.cache`) returns.
+All reported results are overhead *ratios*, which this preserves (see
+DESIGN.md, "Fidelity losses").
 
-Table 2 parameters carried over directly:
+Table 2 parameters carried over directly (the overheads and latencies
+are :class:`~repro.core.config.PathExpanderConfig` fields):
 
 * squash overhead: 10 cycles
 * spawn overhead: 20 cycles
 * L1: 16KB, 4-way, 32B lines, 3 cycles (2 for the non-CMP machine)
 * L2: 1MB, 8-way, 32B lines, 10 cycles
-* memory: 200 cycles
 * BTB: 2K entries, 2-way
+
+Table 2's 200-cycle memory latency is not modelled: L2 is kept
+abstract, and every L1 miss costs the L2 latency.
 """
 
 from __future__ import annotations
@@ -45,44 +48,6 @@ DEFAULT_OP_COSTS = {
     'free': 20,
 }
 
-
-class CostModel:
-    """Per-instruction cycle costs plus memory latencies."""
-
-    def __init__(self, op_costs=None, default_cost=1,
-                 l1_hit=3, l2_hit=10, memory=200,
-                 spawn_overhead=20, squash_overhead=10):
-        costs = dict(DEFAULT_OP_COSTS)
-        if op_costs:
-            costs.update(op_costs)
-        self.default_cost = default_cost
-        self.l1_hit = l1_hit
-        self.l2_hit = l2_hit
-        self.memory = memory
-        self.spawn_overhead = spawn_overhead
-        self.squash_overhead = squash_overhead
-        # Precompute a dense cost table for the interpreter's hot loop.
-        self._costs = costs
-
-    def cost(self, op):
-        return self._costs.get(op, self.default_cost)
-
-    def table(self):
-        """A complete per-opcode cost dict (no misses possible).
-
-        Both backends hoist this into their hot loops so per-step cost
-        lookup is a plain dict index instead of a method call.
-        """
-        table = {op: self.default_cost for op in ALL_OPS}
-        table.update(self._costs)
-        return table
-
-    def memory_latency(self, l1_hit):
-        """Latency of one data access given the L1 outcome.
-
-        A miss is charged the L2 hit latency; the 200-cycle memory
-        latency is folded in probabilistically by the cache model being
-        cold-started per run (we keep L2 abstract: every L1 miss costs
-        the L2 latency -- documented simplification).
-        """
-        return self.l1_hit if l1_hit else self.l2_hit
+# The complete per-opcode cost table (one cycle unless listed above):
+# both backends index it on their hot paths.
+OP_COSTS = {op: DEFAULT_OP_COSTS.get(op, 1) for op in ALL_OPS}

@@ -21,7 +21,3 @@ class AssertionDetector(Detector):
                      detail='assert %s failed' % assert_id,
                      assert_id=assert_id)
         return 1
-
-    @property
-    def failed_ids(self):
-        return {report.assert_id for report in self.reports}

@@ -243,6 +243,7 @@ class JobPool:
         out = []
         done = set()
         attempt_carry = {}
+        finished = False
         try:
             state.futures = {index: state.executor.submit(
                 self.runner, spec.to_dict())
@@ -253,6 +254,7 @@ class JobPool:
                                             index, spec,
                                             attempt_carry)))
                 done.add(index)
+            finished = True
         except BrokenProcessPool as exc:
             # A worker died hard (crash, OOM-kill, os._exit).  The
             # executor is unusable; run the remaining jobs serially,
@@ -263,7 +265,11 @@ class JobPool:
             rest = [(i, s) for i, s in pending if i not in done]
             out.extend(self._run_serial(rest, attempt_carry))
         finally:
-            state.executor.shutdown(wait=False, cancel_futures=True)
+            # A batch that finished waits for the executor's manager
+            # and queue-feeder threads, so none outlives run() to free
+            # objects under the caller; a broken or failed one may
+            # hold dead or hung workers and must not wait.
+            state.executor.shutdown(wait=finished, cancel_futures=True)
         return out
 
     def _await_job(self, state, pending, done, index, spec,

@@ -127,13 +127,6 @@ class HeapAllocator:
             return 'object' if record.live else 'freed'
         return 'redzone'
 
-    def in_heap(self, addr):
-        return self.heap_base <= addr < self.heap_limit
-
-    @property
-    def live_objects(self):
-        return [r for r in self._objects.values() if r.live]
-
     # ------------------------------------------------------------------
     # sandbox support
 

@@ -91,22 +91,6 @@ class MainMemory:
         journal.clear()
         return count
 
-    def commit_journal(self):
-        journal = self._journal
-        if journal is None:
-            raise JournalError('no active journal')
-        self._journal = None
-        count = len(journal)
-        journal.clear()
-        return count
-
-    @property
-    def journal_size(self):
-        return len(self._journal) if self._journal is not None else 0
-
-    def in_monitor_area(self, addr):
-        return self.monitor_base <= addr < self.monitor_limit
-
     # ------------------------------------------------------------------
     # access
 
@@ -130,28 +114,3 @@ class MainMemory:
                 and not (self.monitor_base <= addr < self.monitor_limit):
             journal[addr] = self.cells[addr]
         self.cells[addr] = value
-
-    # convenience for loaders/tests (no journaling, still checked)
-    def write_block(self, base, values):
-        for offset, value in enumerate(values):
-            self.write(base + offset, value)
-
-    def read_block(self, base, count):
-        return [self.read(base + offset) for offset in range(count)]
-
-    def store_string(self, base, text):
-        """Store a NUL-terminated string at ``base``."""
-        for offset, char in enumerate(text):
-            self.write(base + offset, ord(char))
-        self.write(base + len(text), 0)
-
-    def load_string(self, base, max_len=4096):
-        chars = []
-        addr = base
-        while len(chars) < max_len:
-            value = self.read(addr)
-            if value == 0:
-                break
-            chars.append(chr(value & 0x10FFFF))
-            addr += 1
-        return ''.join(chars)

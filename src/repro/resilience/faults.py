@@ -201,11 +201,6 @@ class FaultInjector:
             raise InjectedFault('injected fault at %s' % site,
                                 site=site)
 
-    def fire_count(self, site=None):
-        if site is not None:
-            return self._fired.get(site, 0)
-        return sum(self._fired.values())
-
 
 # ======================================================================
 # process-wide installation

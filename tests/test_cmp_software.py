@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.cmp import CmpScheduler
 from repro.core.config import Mode, PathExpanderConfig
-from repro.core.software import (software_baseline_cycles,
-                                 software_cycles)
+from repro.core.software import software_cycles
 from repro.minic.codegen import compile_minic
 from repro.core.runner import run_program
 
@@ -152,13 +151,3 @@ class TestSoftwareCostModel:
                     + 2 * config.sw_restore_base
                     + 15 * config.sw_restore_per_entry)
         assert software_cycles(Stub(), config) == expected
-
-    def test_baseline_dilation(self):
-        config = PathExpanderConfig(mode=Mode.SOFTWARE)
-
-        class Stub:
-            primary_cycles = 1000
-            taken_branch_count = 10
-
-        expected = 1000 * config.sw_dilation + 10 * config.sw_branch_cost
-        assert software_baseline_cycles(Stub(), config) == expected

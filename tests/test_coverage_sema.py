@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.coverage.tracker import CoverageTracker, CumulativeCoverage
+from repro.core.runner import run_program
+from repro.coverage.tracker import CoverageTracker
+from repro.harness.experiments import _cumulative_coverage
 from repro.minic.codegen import compile_minic
 from repro.minic.sema import LocalSym, Scope, TypeTable
 from repro.minic.types import (INT, ArrayType, MiniCError, PtrType,
@@ -22,66 +24,74 @@ def _program():
 class TestCoverageTracker:
     def test_denominator_is_static_edges(self):
         program = _program()
-        tracker = CoverageTracker(program)
-        assert tracker.total_edges == program.num_edges == 4
+        result = run_program(program, int_input=[5])
+        assert result.total_edges == program.num_edges == 4
+        assert result.baseline_coverage == result.baseline_covered / 4
+        assert result.total_coverage == result.total_covered / 4
 
     def test_taken_vs_nt_accounting(self):
-        tracker = CoverageTracker(_program())
-        edges = list(tracker.program.branch_edges)
-        tracker.record(edges[0].branch_addr, edges[0].taken, False)
-        tracker.record(edges[1].branch_addr, edges[1].taken, True)
-        assert tracker.baseline_covered == 1
-        assert tracker.total_covered == 2
-        assert tracker.baseline_coverage == 0.25
-        assert tracker.total_coverage == 0.5
+        edges = list(_program().branch_edges)
+        tracker = CoverageTracker()
+        tracker.record_taken(edges[0].branch_addr, edges[0].taken)
+        tracker.record_nt(edges[1].branch_addr, edges[1].taken)
+        taken, covered = tracker.edge_sets()
+        assert taken == {(edges[0].branch_addr, edges[0].taken)}
+        assert covered == {(edge.branch_addr, edge.taken)
+                           for edge in edges[:2]}
 
     def test_duplicate_records_count_once(self):
-        tracker = CoverageTracker(_program())
+        tracker = CoverageTracker()
         for _ in range(10):
-            tracker.record(5, True, False)
-        assert tracker.baseline_covered == 1
+            tracker.record_taken(5, True)
+        assert tracker.edge_sets() == ({(5, True)}, {(5, True)})
 
     def test_same_edge_in_both_sets_counts_once_total(self):
-        tracker = CoverageTracker(_program())
-        tracker.record(5, True, False)
-        tracker.record(5, True, True)
-        assert tracker.total_covered == 1
-        assert tracker.baseline_covered == 1
+        tracker = CoverageTracker()
+        tracker.record_taken(5, True)
+        tracker.record_nt(5, True)
+        assert tracker.edge_sets() == ({(5, True)}, {(5, True)})
 
     def test_empty_program_coverage_zero(self):
         program = compile_minic('int main() { return 0; }', name='nobr')
-        tracker = CoverageTracker(program)
-        assert tracker.total_edges == 0
-        assert tracker.baseline_coverage == 0.0
-        assert tracker.total_coverage == 0.0
+        result = run_program(program)
+        assert result.total_edges == 0
+        assert result.baseline_coverage == 0.0
+        assert result.total_coverage == 0.0
+        assert _cumulative_coverage([result]) == (0.0, 0.0)
 
     def test_edge_key_sets_are_copies(self):
-        tracker = CoverageTracker(_program())
-        tracker.record(5, True, False)
-        keys = tracker.taken_edge_keys
-        keys.add(('bogus', True))
-        assert tracker.baseline_covered == 1
+        tracker = CoverageTracker()
+        tracker.record_taken(5, True)
+        taken, covered = tracker.edge_sets()
+        taken.add(('bogus', True))
+        covered.add(('bogus', True))
+        assert tracker.edge_sets() == ({(5, True)}, {(5, True)})
 
 
-class TestCumulativeCoverage:
+class _Run:
+    """The fields ``_cumulative_coverage`` reads from a RunResult."""
+
+    def __init__(self, taken_edges, covered_edges, total_edges=4):
+        self.taken_edges = taken_edges
+        self.covered_edges = covered_edges
+        self.total_edges = total_edges
+
+
+class TestCumulativeUnion:
     def test_union_over_runs(self):
-        program = _program()
-        cumulative = CumulativeCoverage(program)
-        cumulative.add({(5, True)}, {(5, False)})
-        cumulative.add({(9, True)}, set())
-        assert cumulative.runs == 2
-        assert cumulative.baseline_coverage == 2 / 4
-        assert cumulative.total_coverage == 3 / 4
+        runs = [_Run({(5, True)}, {(5, True), (5, False)}),
+                _Run({(9, True)}, {(9, True)})]
+        assert _cumulative_coverage(runs) == (2 / 4, 3 / 4)
 
-    def test_merge_into(self):
-        program = _program()
-        tracker = CoverageTracker(program)
-        tracker.record(5, True, False)
-        tracker.record(9, False, True)
-        cumulative = CumulativeCoverage(program)
-        tracker.merge_into(cumulative)
-        assert cumulative.baseline_coverage == 1 / 4
-        assert cumulative.total_coverage == 2 / 4
+    def test_union_of_tracked_runs(self):
+        tracker = CoverageTracker()
+        tracker.record_taken(5, True)
+        tracker.record_nt(9, False)
+        other = CoverageTracker()
+        other.record_taken(5, True)
+        other.record_nt(5, False)
+        runs = [_Run(*t.edge_sets()) for t in (tracker, other)]
+        assert _cumulative_coverage(runs) == (1 / 4, 3 / 4)
 
 
 class TestTypeSystem:

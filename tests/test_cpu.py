@@ -9,10 +9,11 @@ from repro.cpu.exceptions import FaultKind, ProgramExit, SimFault
 from repro.cpu.interpreter import Interpreter
 from repro.cpu.state import Core
 from repro.cpu.syscalls import IOContext
-from repro.cpu.timing import CostModel
+from repro.cpu.timing import OP_COSTS
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import Reg, Syscall
 from repro.memory.allocator import HeapAllocator
+from repro.memory.cache import Cache
 from repro.memory.main_memory import MainMemory
 
 
@@ -29,8 +30,7 @@ def make_machine(build, text_input='', int_input=None):
     core = Core()
     core.reset(program.entry, memory.stack_top)
     io = IOContext(text_input=text_input, int_input=int_input)
-    interp = Interpreter(program, memory, allocator, core, io,
-                         CostModel())
+    interp = Interpreter(program, memory, allocator, core, io, Cache())
     return interp, core, memory, allocator, io
 
 
@@ -317,14 +317,8 @@ class TestSyscalls:
 
 class TestTiming:
     def test_expensive_ops_cost_more(self):
-        costs = CostModel()
-        assert costs.cost('div') > costs.cost('add')
-        assert costs.cost('malloc') > costs.cost('li')
-
-    def test_memory_latency(self):
-        costs = CostModel(l1_hit=3, l2_hit=10)
-        assert costs.memory_latency(True) == 3
-        assert costs.memory_latency(False) == 10
+        assert OP_COSTS['div'] > OP_COSTS['add']
+        assert OP_COSTS['malloc'] > OP_COSTS['li']
 
     def test_cycles_accumulate(self):
         def build(b):

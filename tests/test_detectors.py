@@ -179,7 +179,7 @@ class TestAssertions:
         assert result.output.strip() == '99'
         assert len(result.reports) == 1
 
-    def test_failed_ids_property(self):
+    def test_failed_assertion_ids(self):
         from repro.detectors.assertions import AssertionDetector
         from repro.core.runner import run_program
         from repro.minic.codegen import compile_minic
@@ -193,7 +193,7 @@ class TestAssertions:
             }''')
         run_program(program, detector=detector,
                     config=PathExpanderConfig(mode=Mode.BASELINE))
-        assert detector.failed_ids == {'A', 'B'}
+        assert {r.assert_id for r in detector.reports} == {'A', 'B'}
 
 
 class TestDetectorBase:

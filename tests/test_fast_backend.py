@@ -466,15 +466,13 @@ class TestBlockMemo:
     def test_variants_get_distinct_entries(self):
         program = _memory_block_program()
         variants = set()
-        for detector, cache in (('none', True), ('ccured', True),
-                                ('ccured', False)):
-            _run_both(program, mode='standard', detector=detector,
-                      enable_cache_model=cache)
+        for detector in ('none', 'ccured'):
+            _run_both(program, mode='standard', detector=detector)
             assert set(program.block_memo) > variants
             variants = set(program.block_memo)
-        # One variant per detector/cache configuration, serving the
-        # taken path and NT-paths alike.
-        assert len(variants) == 3
+        # One variant per detector configuration, serving the taken
+        # path and NT-paths alike.
+        assert len(variants) == 2
 
     def test_failed_compile_is_memoised(self, monkeypatch):
         good_compile = _BlockCompiler.compile

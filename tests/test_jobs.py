@@ -2,6 +2,7 @@
 
 import gc
 import json
+import threading
 import time
 
 import pytest
@@ -177,6 +178,13 @@ class TestJobPool:
         assert [r.to_dict() for r in pooled] == \
             [r.to_dict() for r in direct]
         assert pool.metrics.jobs_run == 2
+
+    def test_no_executor_thread_outlives_run(self):
+        before = set(threading.enumerate())
+        results = JobPool(jobs=2).run([tiny_spec(3), tiny_spec(7)])
+        assert [r.int_output for r in results] == [[3], [7]]
+        assert [t.name for t in threading.enumerate()
+                if t not in before and t.is_alive()] == []
 
     def test_worker_frees_each_run_before_the_next(self):
         # A finished run frees its engine, interpreter and memory image

@@ -70,13 +70,6 @@ class TestMainMemory:
         mem.rollback()
         assert mem.read(report_addr) == 1234
 
-    def test_commit_journal_keeps_values(self):
-        mem = MainMemory(size=4096, globals_size=64)
-        mem.begin_journal()
-        mem.write(600, 5)
-        mem.commit_journal()
-        assert mem.read(600) == 5
-
     def test_nested_journal_rejected(self):
         mem = MainMemory(size=4096, globals_size=64)
         mem.begin_journal()
@@ -87,11 +80,6 @@ class TestMainMemory:
         mem = MainMemory(size=4096, globals_size=64)
         with pytest.raises(RuntimeError):
             mem.rollback()
-
-    def test_string_round_trip(self):
-        mem = MainMemory(size=4096, globals_size=64)
-        mem.store_string(200, 'hello')
-        assert mem.load_string(200) == 'hello'
 
 
 def _in_generation(obj, generation):

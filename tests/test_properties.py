@@ -9,6 +9,8 @@
 * the cache's volatile accounting is consistent under random access
   streams, and its last-line memo agrees with a full set scan;
 * BTB counters saturate and never exceed 4 bits;
+* the engine's inlined spawn decision equals ``observe_edge`` +
+  ``consider``, the copy the detailed CMP engine runs;
 * PathExpander never changes a program's observable output, for
   arbitrary inputs.
 """
@@ -18,7 +20,9 @@ from hypothesis import strategies as st
 
 from repro.btb.btb import COUNTER_MAX, BranchTargetBuffer
 from repro.core.config import Mode, PathExpanderConfig
+from repro.core.engine import PathExpanderEngine
 from repro.core.runner import run_program
+from repro.core.selector import NTPathSelector
 from repro.memory.allocator import HeapAllocator
 from repro.memory.cache import Cache
 from repro.memory.main_memory import MainMemory
@@ -106,7 +110,8 @@ class TestJournalProperties:
         # note: addresses must sit outside the monitor memory area,
         # which by design survives rollback
         mem = MainMemory(size=4096, globals_size=64)
-        assert all(not mem.in_monitor_area(a) for a, _v in writes)
+        assert all(not mem.monitor_base <= a < mem.monitor_limit
+                   for a, _v in writes)
         for addr in range(400, 501):
             mem.write(addr, addr * 7)
         before = list(mem.cells)
@@ -115,21 +120,6 @@ class TestJournalProperties:
             mem.write(addr, value)
         mem.rollback()
         assert mem.cells == before
-
-    @_SETTINGS
-    @given(st.lists(st.tuples(st.integers(min_value=400, max_value=500),
-                              st.integers(-1000, 1000)),
-                    min_size=1, max_size=60))
-    def test_commit_keeps_final_values(self, writes):
-        mem = MainMemory(size=4096, globals_size=64)
-        mem.begin_journal()
-        final = {}
-        for addr, value in writes:
-            mem.write(addr, value)
-            final[addr] = value
-        mem.commit_journal()
-        for addr, value in final.items():
-            assert mem.read(addr) == value
 
 
 # ---------------------------------------------------------------------
@@ -260,10 +250,82 @@ class TestBTBProperties:
     def test_counters_bounded(self, edges):
         btb = BranchTargetBuffer(entries=32, ways=2)
         for addr, taken in edges:
-            btb.record_edge(addr, taken)
+            btb.observe_edge(addr, taken)
         for addr, taken in edges:
             count = btb.edge_count(addr, taken)
             assert 0 <= count <= COUNTER_MAX
+
+
+class _Branch:
+    """The part of a ``br`` instruction the spawn decision reads."""
+
+    def __init__(self, target):
+        self.b = target
+
+
+_SPAWN_PROGRAM = compile_minic('int main() { return 0; }',
+                               name='spawn_decision')
+
+
+def _btb_state(btb):
+    return (btb.evictions, btb._tick,
+            [[(e.addr, e.taken_count, e.nt_count, e.lru) for e in entries]
+             for entries in btb._sets])
+
+
+def _selector_state(selector):
+    return (selector.considered, selector.selected,
+            selector.random_selected, selector.resets,
+            selector.next_reset)
+
+
+class TestSpawnDecisionCopies:
+    """The standard engine's inlined ``_on_branch`` and the detailed CMP
+    engine's ``observe_edge`` + ``next_reset`` check + ``consider`` make
+    the same decisions and leave the same BTB and selector state."""
+
+    @_SETTINGS
+    # 12 branch addresses over 4 two-way sets: entries both saturate
+    # and get evicted.
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=11),
+                              st.booleans(),
+                              st.integers(min_value=0, max_value=12)),
+                    min_size=100, max_size=300),
+           st.sampled_from([0.0, 0.3, 1.0]),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=400))
+    def test_engine_inline_equals_observe_edge_consider(
+            self, branches, rate, threshold, reset_interval):
+        config = PathExpanderConfig(
+            mode=Mode.STANDARD, btb_entries=8, btb_ways=2,
+            nt_counter_threshold=threshold,
+            counter_reset_interval=reset_interval,
+            selection_random_rate=rate)
+        engine = PathExpanderEngine(_SPAWN_PROGRAM, config=config,
+                                    memory_words=1 << 14,
+                                    stack_words=1 << 10)
+        engine_spawns = []
+        engine._run_nt_path = lambda addr, nt_taken, target: \
+            engine_spawns.append((addr, nt_taken, target))
+        btb = BranchTargetBuffer(entries=8, ways=2)
+        selector = NTPathSelector(btb, config)
+        spawns = []
+        instret = 0
+        for addr, taken, delta in branches:
+            instret += delta
+            instr = _Branch(100 + addr)
+            engine.core.instret = instret
+            engine._on_branch(addr, taken, instr)
+            entry = btb.observe_edge(addr, taken)
+            if instret >= selector.next_reset:
+                selector.reset_now(instret)
+            nt_taken = not taken
+            if selector.consider(entry, nt_taken):
+                spawns.append((addr, nt_taken,
+                               instr.b if nt_taken else addr + 1))
+            assert engine_spawns == spawns
+        assert _selector_state(engine.selector) == _selector_state(selector)
+        assert _btb_state(engine.btb) == _btb_state(btb)
 
 
 # ---------------------------------------------------------------------

@@ -67,10 +67,11 @@ def test_restored_result_behaves_like_original(app_name, version, mode,
     assert restored.baseline_coverage == result.baseline_coverage
     assert restored.total_coverage == result.total_coverage
     assert restored.overhead_vs(result) == 0.0
-    assert {r.site_key for r in restored.nt_reports} == \
-        {r.site_key for r in result.nt_reports}
-    assert {r.site_key for r in restored.taken_reports} == \
-        {r.site_key for r in result.taken_reports}
+    for in_nt_path in (True, False):
+        assert {r.site_key for r in restored.reports
+                if r.in_nt_path == in_nt_path} == \
+            {r.site_key for r in result.reports
+             if r.in_nt_path == in_nt_path}
     assert repr(restored) == repr(result)
 
 

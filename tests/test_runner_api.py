@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.registry import get_app
 from repro.core.config import Mode, PathExpanderConfig
 from repro.core.runner import (DETECTOR_FACTORIES, make_detector,
                                run_program, run_source,
@@ -72,8 +73,8 @@ class TestRunnerAPI:
         assert other.spawn_overhead == config.spawn_overhead
 
     def test_siemens_factory(self):
-        config = PathExpanderConfig.siemens()
-        assert config.max_nt_path_length == 100
+        assert get_app('schedule2').make_config().max_nt_path_length \
+            == 100
         config = PathExpanderConfig.baseline()
         assert config.mode == Mode.BASELINE
         assert not config.spawning_enabled
