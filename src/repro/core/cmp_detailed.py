@@ -32,7 +32,8 @@ from repro.core.config import Mode, PathExpanderConfig
 from repro.core.result import NTPathRecord, NTPathTermination, RunResult
 from repro.core.selector import NTPathSelector
 from repro.coverage.tracker import CoverageTracker
-from repro.cpu.exceptions import ProgramExit, SimFault
+from repro.cpu.exceptions import (ProgramExit, SimFault, UnsafeEvent,
+                                  VolatileOverflow)
 from repro.cpu.interpreter import Interpreter
 from repro.cpu.state import Core
 from repro.cpu.syscalls import IOContext
@@ -174,7 +175,7 @@ class DetailedCmpEngine:
         # this engine always runs the reference ``Interpreter``.
         self.primary_interp = Interpreter(
             program, self._taken_view, self.allocator,
-            self.primary, self.io, self._new_cache(),
+            self.primary, self.io, Cache.l1(cfg),
             detector=detector, on_branch=self._on_primary_branch)
 
         self._nt_contexts = []
@@ -184,31 +185,32 @@ class DetailedCmpEngine:
         self._finished = False
         self._max_nt_cycles = 0
 
-    def _new_cache(self):
-        cfg = self.config
-        return Cache(size_bytes=cfg.l1_size_bytes, ways=cfg.l1_ways,
-                     line_bytes=cfg.l1_line_bytes,
-                     hit_latency=cfg.l1_hit_latency,
-                     miss_latency=cfg.l2_hit_latency)
-
     # ==================================================================
 
     def run(self):
         limit = self.config.max_instructions
-        while not self._finished:
-            context = self._next_context()
-            if context is None:
-                self._step_primary(limit)
-            else:
-                self._step_nt(context)
-        # drain outstanding NT-paths after the program finishes
-        while self._nt_contexts or self._nt_pending:
-            while self._nt_pending and \
-                    len(self._nt_contexts) < self.config.num_cores - 1:
-                self._activate_pending(self.primary.cycles)
-            self._step_nt(min(self._nt_contexts,
-                              key=lambda c: c.core.cycles))
-        self._commit_ready_segments(force_all=True)
+        try:
+            while not self._finished:
+                context = self._next_context()
+                if context is None:
+                    self._step_primary(limit)
+                else:
+                    self._step_nt(context)
+            # drain outstanding NT-paths after the program finishes
+            while self._nt_contexts or self._nt_pending:
+                while self._nt_pending and len(self._nt_contexts) \
+                        < self.config.num_cores - 1:
+                    self._activate_pending(self.primary.cycles)
+                self._step_nt(min(self._nt_contexts,
+                                  key=lambda c: c.core.cycles))
+            self._commit_ready_segments(force_all=True)
+        finally:
+            # Break the branch callbacks' cycles through this engine,
+            # so reference counting frees the run as soon as it is
+            # dropped (as PathExpanderEngine.run does).
+            self.primary_interp.release()
+            for context in self._nt_contexts + self._nt_pending:
+                context.interp.release()
         self._finalize()
         return self.result
 
@@ -239,21 +241,22 @@ class DetailedCmpEngine:
             self._finished = True
 
     def _step_nt(self, context):
-        reason = None
+        core = context.core
         try:
-            event = context.interp.step()
-            if event == 'unsafe':
-                reason = NTPathTermination.UNSAFE
-            elif event == 'overflow':
-                reason = NTPathTermination.OVERFLOW
-            elif context.core.instret >= context.max_instret:
-                reason = NTPathTermination.LENGTH
+            context.interp.step()
+            if core.instret < context.max_instret:
+                return
+            reason = NTPathTermination.LENGTH
+        except UnsafeEvent:
+            reason = NTPathTermination.UNSAFE
+        except VolatileOverflow as overflow:
+            core.cycles += overflow.cycles
+            reason = NTPathTermination.OVERFLOW
         except SimFault:
             reason = NTPathTermination.CRASH
         except ProgramExit:
             reason = NTPathTermination.PROGRAM_END
-        if reason is not None:
-            self._squash_nt(context, reason)
+        self._squash_nt(context, reason)
 
     def _activate_pending(self, free_time):
         """Move one queued NT-path onto the freed core."""
@@ -336,11 +339,9 @@ class DetailedCmpEngine:
             target = instr.b if nt_taken else addr + 1
             self._spawn_nt(addr, nt_taken, target)
 
-    def _on_nt_branch(self, interp):
-        def hook(addr, taken, _instr):
-            self.result.nt_branch_count += 1
-            self.coverage.record_nt(addr, taken)
-        return hook
+    def _on_nt_branch(self, addr, taken, _instr):
+        self.result.nt_branch_count += 1
+        self.coverage.record_nt(addr, taken)
 
     def _spawn_nt(self, branch_addr, edge_taken, target):
         config = self.config
@@ -365,9 +366,9 @@ class DetailedCmpEngine:
         self._segments.append(segment)
 
         interp = Interpreter(self.program, view, self.allocator.clone(),
-                             core, self.io, self._new_cache(),
-                             detector=self.detector)
-        interp.on_branch = self._on_nt_branch(interp)
+                             core, self.io, Cache.l1(config),
+                             detector=self.detector,
+                             on_branch=self._on_nt_branch)
         # NT interpreters here are stepped per-instruction for cycle
         # interleaving (never through fused blocks), and live for one
         # path only: enter_nt is never paired with exit_nt.

@@ -73,11 +73,6 @@ class PathExpanderConfig:
                  num_cores=4,
                  max_instructions=50_000_000,
                  collect_nt_details=False,
-                 # watchdog run budgets (None = unbounded); see
-                 # repro.resilience.watchdog
-                 max_wall_seconds=None,
-                 max_cycles=None,
-                 watchdog_interval=10_000,
                  # hardware costs (Table 2)
                  spawn_overhead=20,
                  squash_overhead=10,
@@ -120,9 +115,6 @@ class PathExpanderConfig:
         self.num_cores = num_cores
         self.max_instructions = max_instructions
         self.collect_nt_details = collect_nt_details
-        self.max_wall_seconds = max_wall_seconds
-        self.max_cycles = max_cycles
-        self.watchdog_interval = watchdog_interval
         self.spawn_overhead = spawn_overhead
         self.squash_overhead = squash_overhead
         self.l1_hit_latency = l1_hit_latency

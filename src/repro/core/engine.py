@@ -16,15 +16,17 @@ One engine drives all four modes:
 
 from __future__ import annotations
 
-from time import perf_counter
+from time import monotonic, perf_counter
 
 from repro.btb.btb import COUNTER_MAX, BranchTargetBuffer, _Entry
 from repro.core.cmp import CmpScheduler
 from repro.core.config import Mode, PathExpanderConfig
+from repro.core.errors import WatchdogTimeout
 from repro.core.result import NTPathRecord, NTPathTermination, RunResult
 from repro.core.selector import NTPathSelector
 from repro.coverage.tracker import CoverageTracker
-from repro.cpu.exceptions import ProgramExit, SimFault
+from repro.cpu.exceptions import (ProgramExit, SimFault, UnsafeEvent,
+                                  VolatileOverflow)
 from repro.cpu.fastinterp import FastInterpreter
 from repro.cpu.interpreter import Interpreter
 from repro.cpu.state import Core
@@ -33,8 +35,8 @@ from repro.memory.allocator import HeapAllocator
 from repro.memory.cache import Cache
 from repro.memory.checkpoint import Checkpoint
 from repro.memory.main_memory import MainMemory
-from repro.resilience import events, get_injector
-from repro.resilience.watchdog import Watchdog
+from repro.resilience import get_injector
+from repro.resilience.watchdog import CHECK_INTERVAL, current_deadline
 
 _NT_VERSION = 1
 
@@ -64,11 +66,7 @@ class PathExpanderEngine:
         self.core.reset(program.entry, self.memory.stack_top)
 
         cfg = self.config
-        self.cache = Cache(size_bytes=cfg.l1_size_bytes,
-                           ways=cfg.l1_ways,
-                           line_bytes=cfg.l1_line_bytes,
-                           hit_latency=cfg.l1_hit_latency,
-                           miss_latency=cfg.l2_hit_latency)
+        self.cache = Cache.l1(cfg)
         self.btb = BranchTargetBuffer(entries=cfg.btb_entries,
                                       ways=cfg.btb_ways)
         self.coverage = CoverageTracker()
@@ -129,9 +127,9 @@ class PathExpanderEngine:
         # same truncation point either way.
         interp.instret_limit = limit
         try:
-            reason = self._drive(limit)
+            self._drive(limit)
             result.truncated = True
-            result.truncation_reason = reason
+            result.truncation_reason = 'instructions'
         except ProgramExit as exit_:
             result.exit_code = exit_.code
         except SimFault as fault:
@@ -145,36 +143,25 @@ class PathExpanderEngine:
         return result
 
     def _drive(self, limit):
-        """Run the taken path to the instruction budget; returns the
-        truncation reason.
+        """Run the taken path to the instruction budget.
 
-        With a watchdog armed (run budgets in the config, or an
-        ambient job deadline installed by the pool) the drive is
-        chunked into ``check_interval``-instruction slices with a
-        deadman poll between slices; the dispatched instruction
-        sequence is identical either way, so watchdog-off and
-        watchdog-on runs that finish produce the same result.
+        Under an ambient job deadline (installed by the pool) the drive
+        is chunked into ``CHECK_INTERVAL``-instruction slices with a
+        clock poll between slices, which raises
+        :class:`WatchdogTimeout` once the deadline has passed; the
+        dispatched instruction sequence is identical either way, so a
+        run that finishes gives the same result.
         """
         interp = self.interp
-        watchdog = Watchdog.for_config(self.config)
-        if watchdog is None:
-            interp.drive_taken(limit)
-            return 'instructions'
-        core = self.core
-        interval = watchdog.check_interval
-        while True:
-            chunk = core.instret + interval
-            if chunk >= limit:
-                interp.drive_taken(limit)
-                return 'instructions'
-            interp.drive_taken(chunk)
-            reason = watchdog.poll(core)  # raises WatchdogTimeout
-            if reason is not None:
-                events.record('watchdog_truncated', reason=reason,
-                              program=self.program.name,
-                              instret=core.instret,
-                              cycles=core.cycles)
-                return reason
+        job_deadline = current_deadline()
+        if job_deadline is not None:
+            core = self.core
+            while core.instret + CHECK_INTERVAL < limit:
+                interp.drive_taken(core.instret + CHECK_INTERVAL)
+                if monotonic() >= job_deadline:
+                    raise WatchdogTimeout('job deadline expired',
+                                          instret=core.instret)
+        interp.drive_taken(limit)
 
     def _finalize(self):
         result = self.result
@@ -321,13 +308,13 @@ class PathExpanderEngine:
 
         started = perf_counter()
         try:
-            event = interp.drive_nt(nt_limit)
-            if event is None:
-                reason = NTPathTermination.LENGTH
-            elif event == 'unsafe':
-                reason = NTPathTermination.UNSAFE
-            else:
-                reason = NTPathTermination.OVERFLOW
+            interp.drive_nt(nt_limit)
+            reason = NTPathTermination.LENGTH
+        except UnsafeEvent:
+            reason = NTPathTermination.UNSAFE
+        except VolatileOverflow as overflow:
+            core.cycles += overflow.cycles
+            reason = NTPathTermination.OVERFLOW
         except SimFault:
             reason = NTPathTermination.CRASH
         except ProgramExit:
@@ -368,12 +355,7 @@ class PathExpanderEngine:
     def _borrow_nt_cache(self):
         """A cold L1 for the idle core running this NT-path (CMP)."""
         if self._nt_cache_pool is None:
-            cfg = self.config
-            self._nt_cache_pool = Cache(
-                size_bytes=cfg.l1_size_bytes, ways=cfg.l1_ways,
-                line_bytes=cfg.l1_line_bytes,
-                hit_latency=cfg.l1_hit_latency,
-                miss_latency=cfg.l2_hit_latency)
+            self._nt_cache_pool = Cache.l1(self.config)
         else:
             self._nt_cache_pool.reset()
         return self._nt_cache_pool

@@ -72,8 +72,8 @@ class RunResult:
         self.crashed = False
         self.crash_kind = None
         self.truncated = False          # stopped before program end
-        # why: 'instructions' (max_instructions), 'wall_clock' or
-        # 'cycles' (watchdog budgets); None when not truncated
+        # 'instructions' when max_instructions stopped the run (the
+        # detailed CMP engine leaves it None), None otherwise
         self.truncation_reason = None
 
     # ------------------------------------------------------------------

@@ -37,20 +37,20 @@ equivalence invariant"):
 * every fused load and store calls ``Cache.access`` (the sole owner of
   the cache's last-line memo) and inlines the ``MainMemory`` access;
 * a faulting instruction inside a block (``div`` by zero, stack
-  overflow) first flushes the cycles/instret of the instructions
-  already executed and restores the faulting PC, reproducing the
-  reference backend's mid-run state exactly;
+  overflow, or an NT-path store that overflows L1's volatile ways:
+  ``Cache.access`` raises ``VolatileOverflow``, a ``SimFault``) first
+  flushes the cycles/instret of the instructions already executed and
+  restores the faulting PC, reproducing the reference backend's
+  mid-run state exactly;
 * a block refuses to run when it would cross the interpreter's
   ``instret_limit`` (``max_instructions`` on the taken path, the
   NT-path length budget inside the sandbox -- see ``enter_nt``) and
   executes one instruction on the reference step instead, so
   truncation points match;
 * a block's stores make the reference step's two NT-path decisions
-  from run-time state, as ``step`` does: an L1 volatile overflow
-  inside an NT-path flushes the completed prefix and returns
-  ``'overflow'`` exactly where the reference would, and a write under
-  an active journal records the old value first (monitor area
-  excepted); everything else that can terminate a path
+  from run-time state, as ``step`` does: the cache raises on volatile
+  overflow, and a write under an active journal records the old value
+  first (monitor area excepted); everything else that can end a path
   (``syscall``/``malloc``/``free``, predicated execution) is never
   fused and reaches the reference semantics per instruction;
 * every table slot without a stub or block -- cold code outside any
@@ -139,15 +139,15 @@ def _emit_pure(instr):
 class _Emitted:
     """One fused instruction's generated code and bookkeeping."""
 
-    __slots__ = ('lines', 'static', 'risky', 'cy', 'cache')
+    __slots__ = ('lines', 'static', 'risky', 'cache')
 
-    def __init__(self, lines, static, risky=False, cy=False,
-                 cache=False):
+    def __init__(self, lines, static, risky=False, cache=False):
         self.lines = lines
         self.static = static    # statically known cycle cost
         self.risky = risky      # may raise SimFault mid-block
-        self.cy = cy            # accumulates dynamic cycles into _cy
-        self.cache = cache      # touches the cache model
+        # touches the cache model, accumulating its latency (and any
+        # detector hook's cost) into _cy
+        self.cache = cache
 
 
 class _BlockCompiler:
@@ -160,12 +160,12 @@ class _BlockCompiler:
     and instret of the instructions already completed and parks
     ``core.pc`` on the faulting instruction.
 
-    One block serves the taken path and NT-paths: a store tests the
-    ``Cache.access`` result for L1 volatile overflow inside an NT-path
-    (flushing the completed prefix and returning ``'overflow'``
-    mid-block, exactly where the reference per-instruction loop would
-    stop) and, under an active journal, records the old value of its
-    first write to a non-monitor address.
+    One block serves the taken path and NT-paths: an NT-path store that
+    overflows L1's volatile ways raises out of ``Cache.access`` through
+    that handler, mid-block, exactly where the reference
+    per-instruction loop stops, and a store under an active journal
+    records the old value of its first write to a non-monitor
+    address.
     """
 
     def __init__(self, interp):
@@ -206,8 +206,7 @@ class _BlockCompiler:
         retired = len(parts)
         total = sum(part.static for part in parts)
         risky = any(part.risky for part in parts)
-        has_cy = any(part.cy for part in parts)
-        uses_cache = any(part.cache for part in parts)
+        has_cy = any(part.cache for part in parts)
         if terminator is not None:
             if terminator.op == 'jmp':
                 if not _is_imm(terminator.a):
@@ -238,10 +237,9 @@ class _BlockCompiler:
             src.append('    if core.pred:')
             src.append('        core.pred = False')
         src.append('    r = core.regs')
-        if uses_cache:
+        if has_cy:
             src.append('    _cache = _interp.cache')
             src.append('    _cv = _interp.cache_version')
-        if has_cy:
             src.append('    _cy = 0')
         body_indent = '    '
         if risky:
@@ -286,7 +284,6 @@ class _BlockCompiler:
             src.append('    _ob = _interp.on_branch')
             src.append('    if _ob is not None:')
             src.append('        _ob(%d, _tk, %s)' % (br_pc, br_name))
-            src.append('    return None')
         else:
             if terminator is not None:           # absorbed jmp
                 next_pc = terminator.a
@@ -383,13 +380,12 @@ class _BlockCompiler:
                      '_a = r[%d] + %d' % (b, c)]
             lines.extend(self._read_lines())
             lines.append('r[%d] = _v' % a)
-            lines.append('_cy += _cache.access(_a, False, _cv).cycles')
+            lines.append('_cy += _cache.access(_a, False, _cv)')
             static = cost
             if self.hooks:
                 lines.extend(self._hook_lines(pc, '_dl'))
                 static += self.legal_cost
-            return _Emitted(lines, static, risky=True, cy=True,
-                            cache=True)
+            return _Emitted(lines, static, risky=True, cache=True)
         if op == 'st':
             if not (_is_reg(a) and _is_reg(b) and _is_imm(c)):
                 return None
@@ -397,19 +393,7 @@ class _BlockCompiler:
                      '_a = r[%d] + %d' % (b, c),
                      '_v = r[%d]' % a,
                      '_interp.store_count += 1',
-                     # Inside an NT-path, L1 may refuse to buffer another
-                     # volatile line.  The reference charges the store's
-                     # full cycles, leaves pc/instret on the store and
-                     # returns 'overflow'; flush the completed prefix
-                     # exactly as the SimFault handler would.
-                     '_res = _cache.access(_a, True, _cv)',
-                     '_tc = _res.cycles',
-                     'if _res.volatile_overflow and _interp.in_nt_path:',
-                     '    core.pc = %d' % pc,
-                     '    core.cycles += _cy + _SP%d[%d] + %d + _tc'
-                     % (leader, index, cost),
-                     '    core.instret += %d' % index,
-                     "    return 'overflow'"]
+                     '_tc = _cache.access(_a, True, _cv)']
             # The store's own cache latency is committed only once the
             # write succeeds (the reference discards it when
             # memory.write faults), but the cache state mutation and
@@ -420,8 +404,7 @@ class _BlockCompiler:
             if self.hooks:
                 lines.extend(self._hook_lines(pc, '_ds'))
                 static += self.legal_cost
-            return _Emitted(lines, static, risky=True, cy=True,
-                            cache=True)
+            return _Emitted(lines, static, risky=True, cache=True)
         if op == 'push':
             if not _is_reg(a):
                 return None
@@ -501,7 +484,10 @@ class FastInterpreter(Interpreter):
         self._fault_hook()
         pc = self.core.pc
         fn = self._fast[pc] if 0 <= pc < self._n else None
-        return Interpreter.step(self) if fn is None else fn()
+        if fn is None:
+            Interpreter.step(self)
+        else:
+            fn()
 
     def drive_nt(self, limit):
         """The reference ``drive_nt`` loop over the block table.
@@ -519,19 +505,17 @@ class FastInterpreter(Interpreter):
         if self._fault_hook is not None:
             step = self._step_chaos
             while core.instret < limit:
-                event = step()
-                if event is not None:
-                    return event
-            return None
+                step()
+            return
         n = self._n
         ref_step = Interpreter.step
         while core.instret < limit:
             pc = core.pc
             fn = table[pc] if 0 <= pc < n else None
-            event = ref_step(self) if fn is None else fn()
-            if event is not None:
-                return event
-        return None
+            if fn is None:
+                ref_step(self)
+            else:
+                fn()
 
     drive_taken = drive_nt
 

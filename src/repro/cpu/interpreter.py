@@ -4,23 +4,18 @@ The interpreter executes one instruction per :meth:`Interpreter.step`;
 :meth:`Interpreter.drive_taken` and :meth:`Interpreter.drive_nt` loop
 over it up to an instruction budget.  PathExpander's engines observe
 branches through the ``on_branch`` callback (where NT-path spawning
-decisions are made) and NT-path-terminating conditions through the
-step return value, which ``drive_nt`` passes on:
-
-* ``None``      -- normal completion
-* ``'unsafe'``  -- a syscall was reached in NT-path mode; it was *not*
-  performed (side effects cannot be sandboxed) and the engine must
-  squash the path.
-* ``'overflow'`` -- an NT-path store could not be buffered in L1 (every
-  way of the set already holds a volatile line); squash required.
-
-Faults raise :class:`~repro.cpu.exceptions.SimFault`; program
-termination raises :class:`~repro.cpu.exceptions.ProgramExit`.
+decisions are made).  ``step`` and the drive loops return nothing;
+every early end is an exception (:mod:`repro.cpu.exceptions`):
+``UnsafeEvent`` when an NT-path reaches a syscall, which is *not*
+performed (side effects cannot be sandboxed); ``VolatileOverflow``,
+raised by the cache model, when an NT-path store cannot be buffered in
+L1; ``SimFault`` for a machine fault; ``ProgramExit`` at program end.
 """
 
 from __future__ import annotations
 
-from repro.cpu.exceptions import FaultKind, ProgramExit, SimFault
+from repro.cpu.exceptions import (FaultKind, ProgramExit, SimFault,
+                                  UnsafeEvent)
 from repro.cpu.timing import OP_COSTS, PREDICATED_SKIP_COST
 from repro.isa.instructions import Reg, Syscall
 
@@ -110,13 +105,12 @@ class Interpreter:
                 core.pc = pc + 1
                 core.cycles += PREDICATED_SKIP_COST
                 core.instret += 1
-                return None
+                return
         elif core.pred:
             core.pred = False
 
         regs = core.regs
         cost = self._cost[op]
-        event = None
 
         # Most frequent opcodes first (the dynamic mix of the paper's
         # short runs): every arm ahead of an opcode is a failed test.
@@ -127,7 +121,7 @@ class Interpreter:
             addr = regs[instr.b] + instr.c
             value = self.memory.read(addr)
             regs[instr.a] = value
-            cost += self.cache.access(addr, False, self.cache_version).cycles
+            cost += self.cache.access(addr, False, self.cache_version)
             if self.detector is not None:
                 cost += self.detector.on_load(addr, value, self)
             core.pc = pc + 1
@@ -138,11 +132,7 @@ class Interpreter:
             addr = regs[instr.b] + instr.c
             value = regs[instr.a]
             self.store_count += 1
-            result = self.cache.access(addr, True, self.cache_version)
-            cost += result.cycles
-            if result.volatile_overflow and self.in_nt_path:
-                core.cycles += cost
-                return 'overflow'
+            cost += self.cache.access(addr, True, self.cache_version)
             self.memory.write(addr, value)
             if self.detector is not None:
                 cost += self.detector.on_store(addr, value, self)
@@ -154,7 +144,7 @@ class Interpreter:
             core.instret += 1
             if self.on_branch is not None:
                 self.on_branch(pc, taken, instr)
-            return None
+            return
         elif op == 'jmp':
             core.pc = instr.a
         elif op == 'add':
@@ -215,8 +205,8 @@ class Interpreter:
         elif op == 'syscall':
             if self.in_nt_path and not self.sandbox_unsafe:
                 # Unsafe event: do not perform; the engine squashes.
-                return 'unsafe'
-            event = self._do_syscall(instr.a, regs)
+                raise UnsafeEvent(pc)
+            self._do_syscall(instr.a, regs)
         elif op == 'mul':
             regs[instr.a] = regs[instr.b] * regs[instr.c]
             core.pc = pc + 1
@@ -278,28 +268,22 @@ class Interpreter:
 
         core.cycles += cost
         core.instret += 1
-        return event
 
     def drive_nt(self, limit):
-        """Step until ``core.instret >= limit`` or an NT-path event.
+        """Step until ``core.instret >= limit``.
 
-        Returns the event that ends an NT-path early (``'unsafe'`` or
-        ``'overflow'``), or None at the budget; program end and faults
-        propagate as exceptions.  The fast backend overrides this with
-        a loop over its block table.
+        Every earlier end propagates as an exception (see the module
+        docstring).  The fast backend overrides this with a loop over
+        its block table.
         """
         core = self.core
         step = self.step
         while core.instret < limit:
-            event = step()
-            if event is not None:
-                return event
-        return None
+            step()
 
-    # The taken path shares the loop and always runs to its budget
-    # (the engine then marks the run truncated): both events need
-    # ``in_nt_path``, and the branch callback runs each NT-path to
-    # completion before it returns.
+    # The taken path shares the loop: it never raises UnsafeEvent or
+    # VolatileOverflow (both need an NT-path), and the branch callback
+    # runs each NT-path to its end before it returns.
     drive_taken = drive_nt
 
     def release(self):
@@ -330,4 +314,3 @@ class Interpreter:
         else:
             raise SimFault(FaultKind.BAD_JUMP, 'bad syscall %r' % code)
         self.core.pc += 1
-        return None

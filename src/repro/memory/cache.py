@@ -5,12 +5,10 @@ This models the L1 behaviour PathExpander relies on (Sections 4.1-4.3):
 * NT-path stores are buffered in L1 lines marked with a *volatile tag*
   (standard configuration) or an 8-bit *path ID* (CMP optimisation).
 * Squashing a path gang-invalidates all of its lines.
-* A set that would need more volatile lines than it has ways signals a
-  capacity overflow -- the NT-path cannot be sandboxed further and must
-  be squashed (the paper chose the cache over a store buffer precisely
-  to make this rare).
-* On the taken path, displacing a dirty uncommitted line forces the
-  owning segment to commit, which squashes its sibling NT-path.
+* A store that would need more volatile lines in its set than it has
+  ways raises :class:`~repro.cpu.exceptions.VolatileOverflow` -- the
+  NT-path cannot be sandboxed further and must be squashed (the paper
+  chose the cache over a store buffer precisely to make this rare).
 
 The cache is a *state/timing* model: data values live in
 :class:`~repro.memory.main_memory.MainMemory`; the cache tracks tags,
@@ -19,28 +17,18 @@ LRU order, latency, and ownership.
 
 from __future__ import annotations
 
+from repro.cpu.exceptions import VolatileOverflow
+
 COMMITTED = 0       # version id reserved for committed data
 
 
 class CacheLine:
-    __slots__ = ('tag', 'version', 'dirty', 'lru')
+    __slots__ = ('tag', 'version', 'lru')
 
-    def __init__(self, tag, version, dirty, lru):
+    def __init__(self, tag, version, lru):
         self.tag = tag
         self.version = version
-        self.dirty = dirty
         self.lru = lru
-
-
-class AccessResult:
-    __slots__ = ('cycles', 'hit', 'volatile_overflow', 'displaced_dirty')
-
-    def __init__(self, cycles, hit, volatile_overflow=False,
-                 displaced_dirty=None):
-        self.cycles = cycles
-        self.hit = hit
-        self.volatile_overflow = volatile_overflow
-        self.displaced_dirty = displaced_dirty   # version id or None
 
 
 class Cache:
@@ -48,8 +36,8 @@ class Cache:
 
     __slots__ = ('line_words', 'num_lines', 'num_sets', 'ways',
                  'hit_latency', 'miss_latency', '_sets', '_tick',
-                 'hits', 'misses', '_hit_result',
-                 '_last_tag', '_last_line', '_volatile')
+                 'hits', 'misses', '_last_tag', '_last_line',
+                 '_volatile')
 
     def __init__(self, size_bytes=16384, ways=4, line_bytes=32,
                  hit_latency=3, miss_latency=10, word_bytes=4):
@@ -63,10 +51,6 @@ class Cache:
         self._tick = 0
         self.hits = 0
         self.misses = 0
-        # Hits dominate and their result fields never vary, so one
-        # preallocated result serves them all (callers treat results as
-        # read-only).
-        self._hit_result = AccessResult(hit_latency, True)
         # Last-line memo, the only one: both backends reach it through
         # access().  Only an *exact* version match may use it: a
         # version-v line is always inserted before a committed line of
@@ -81,19 +65,32 @@ class Cache:
         # spawn-heavy runs.
         self._volatile = []
 
+    @classmethod
+    def l1(cls, config):
+        """The L1 a :class:`~repro.core.config.PathExpanderConfig`
+        describes."""
+        return cls(size_bytes=config.l1_size_bytes, ways=config.l1_ways,
+                   line_bytes=config.l1_line_bytes,
+                   hit_latency=config.l1_hit_latency,
+                   miss_latency=config.l2_hit_latency)
+
     def access(self, addr, is_write, version=COMMITTED):
-        """Simulate one access; returns an :class:`AccessResult`."""
+        """Simulate one access; returns its latency in cycles.
+
+        A write miss by a non-committed version into a set of volatile
+        lines completes the replacement, then raises
+        :class:`VolatileOverflow`.  ``enter_nt``/``exit_nt`` set an
+        interpreter's ``cache_version`` and ``in_nt_path`` together,
+        so only NT-path stores raise; reads never do."""
         tick = self._tick + 1
         self._tick = tick
         line_no = addr // self.line_words
         line = self._last_line
         if line is not None and self._last_tag == line_no \
                 and line.version == version:
-            if is_write:
-                line.dirty = True
             line.lru = tick
             self.hits += 1
-            return self._hit_result
+            return self.hit_latency
         lines = self._sets[line_no % self.num_sets]
         tag = line_no
         for line in lines:
@@ -101,21 +98,18 @@ class Cache:
                                     or line.version == COMMITTED):
                 # A committed line written by a speculative path takes
                 # on that path's version (copy-on-write at line level).
-                if is_write:
-                    line.dirty = True
-                    if version != COMMITTED \
-                            and line.version == COMMITTED:
-                        line.version = version
-                        self._volatile.append(line)
+                if is_write and version != COMMITTED \
+                        and line.version == COMMITTED:
+                    line.version = version
+                    self._volatile.append(line)
                 line.lru = tick
                 self.hits += 1
                 self._last_tag = tag
                 self._last_line = line
-                return self._hit_result
+                return self.hit_latency
         # miss: allocate
         self.misses += 1
         overflow = False
-        displaced_dirty = None
         if len(lines) >= self.ways:
             victim = min(
                 (line for line in lines if line.version == COMMITTED),
@@ -124,21 +118,20 @@ class Cache:
                 # Every way holds an uncommitted (volatile) line.
                 overflow = True
                 victim = min(lines, key=lambda line: line.lru)
-            if victim.dirty:
-                displaced_dirty = victim.version
             lines.remove(victim)
             if victim.version != COMMITTED:
                 self._volatile.remove(victim)    # rare: overflow only
-        line = CacheLine(tag, version if is_write else COMMITTED,
-                         is_write, self._tick)
+        speculative = is_write and version != COMMITTED
+        line = CacheLine(tag, version if speculative else COMMITTED,
+                         tick)
         lines.append(line)
-        if is_write and version != COMMITTED:
+        if speculative:
             self._volatile.append(line)
         self._last_tag = tag
         self._last_line = line
-        return AccessResult(self.miss_latency, False,
-                            volatile_overflow=overflow,
-                            displaced_dirty=displaced_dirty)
+        if overflow and speculative:
+            raise VolatileOverflow(self.miss_latency)
+        return self.miss_latency
 
     def gang_invalidate(self, version):
         """Drop every line owned by ``version`` (NT-path squash)."""

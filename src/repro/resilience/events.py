@@ -1,11 +1,11 @@
 """Process-local resilience event log.
 
-Degradations, watchdog truncations, injected faults and backend
-fallbacks are *survived*, so by design they leave no trace in a
-:class:`RunResult` (degraded runs must stay byte-identical to clean
-reference runs).  This recorder is where they leave their trace
-instead: a bounded in-process ring of structured events that tests,
-benchmarks and operators can inspect after the fact.
+Degradations, injected faults and backend fallbacks are *survived*,
+so by design they leave no trace in a :class:`RunResult` (degraded
+runs must stay byte-identical to clean reference runs).  This
+recorder is where they leave their trace instead: a bounded in-process
+ring of structured events that tests, benchmarks and operators can
+inspect after the fact.
 
 Events recorded inside pool *worker processes* stay in those processes;
 the parent-side audit trail for batches is the

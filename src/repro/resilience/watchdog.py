@@ -1,25 +1,18 @@
-"""Engine deadman: wall-clock / cycle budgets and ambient job deadlines.
+"""Ambient job deadlines for in-process runs.
 
-Two distinct protections share one mechanism (a periodic check at
-instruction-count boundaries of the engine's main loop):
+The job pool installs a :func:`deadline` around serial in-process
+execution so ``JobPool(jobs=1, timeout=...)`` behaves like pooled mode.
+An engine started inside the scope drives its taken path in
+``CHECK_INTERVAL``-instruction chunks and polls the clock between
+them; expiry *raises* :class:`~repro.core.errors.WatchdogTimeout`,
+which the pool accounts for exactly like a pooled future timeout
+(retry, then a structured spec-attributed failure).
 
-* **Run budgets** (``PathExpanderConfig.max_wall_seconds`` /
-  ``max_cycles``): when exceeded, the engine *truncates* the run into a
-  partial, well-formed :class:`RunResult` flagged ``truncated`` --
-  long experiment batches degrade instead of stalling.
-
-* **Ambient job deadlines** (:func:`deadline`): installed by the job
-  pool around serial in-process execution so ``JobPool(jobs=1,
-  timeout=...)`` behaves like pooled mode.  Expiry *raises*
-  :class:`~repro.core.errors.WatchdogTimeout`, which the pool accounts
-  for exactly like a pooled future timeout (retry, then a structured
-  spec-attributed failure).
-
-The checks are cooperative: the engine polls between instruction
-chunks, so enforcement granularity is ``check_interval`` retired
-instructions (default 10k -- milliseconds of wall time on either
-backend), and a run adds zero per-instruction overhead when nothing is
-armed.
+The check is cooperative, so enforcement granularity is
+``CHECK_INTERVAL`` retired instructions (milliseconds of wall time on
+either backend).  A run adds zero per-instruction overhead outside a
+deadline, and the dispatched instruction sequence is the same either
+way, so a run that finishes gives the same result with or without one.
 """
 
 from __future__ import annotations
@@ -28,9 +21,7 @@ import contextlib
 import contextvars
 import time
 
-from repro.core.errors import WatchdogTimeout
-
-DEFAULT_CHECK_INTERVAL = 10_000
+CHECK_INTERVAL = 10_000
 
 _job_deadline = contextvars.ContextVar('repro_job_deadline',
                                        default=None)
@@ -53,59 +44,3 @@ def deadline(seconds):
 def current_deadline():
     """The ambient monotonic deadline, or None."""
     return _job_deadline.get()
-
-
-class Watchdog:
-    """Per-run deadman combining budgets and the ambient deadline."""
-
-    __slots__ = ('job_deadline', 'wall_deadline', 'max_cycles',
-                 'check_interval')
-
-    def __init__(self, job_deadline=None, wall_deadline=None,
-                 max_cycles=None,
-                 check_interval=DEFAULT_CHECK_INTERVAL):
-        self.job_deadline = job_deadline
-        self.wall_deadline = wall_deadline
-        self.max_cycles = max_cycles
-        self.check_interval = max(1, int(check_interval))
-
-    @classmethod
-    def for_config(cls, config):
-        """A watchdog for one engine run, or None when nothing is
-        armed (the common case: the engine then runs its unchunked
-        main loop)."""
-        job = current_deadline()
-        wall = getattr(config, 'max_wall_seconds', None)
-        cycles = getattr(config, 'max_cycles', None)
-        if job is None and wall is None and cycles is None:
-            return None
-        now = time.monotonic()
-        return cls(
-            job_deadline=job,
-            wall_deadline=(now + wall) if wall is not None else None,
-            max_cycles=cycles,
-            check_interval=getattr(config, 'watchdog_interval',
-                                   DEFAULT_CHECK_INTERVAL))
-
-    def poll(self, core):
-        """One periodic check.
-
-        Raises :class:`WatchdogTimeout` when the ambient job deadline
-        has passed; returns a truncation reason string
-        (``'wall_clock'`` / ``'cycles'``) when a run budget is
-        exhausted; returns None otherwise.
-        """
-        if self.job_deadline is not None or \
-                self.wall_deadline is not None:
-            now = time.monotonic()
-            if self.job_deadline is not None \
-                    and now >= self.job_deadline:
-                raise WatchdogTimeout('job deadline expired',
-                                      instret=core.instret)
-            if self.wall_deadline is not None \
-                    and now >= self.wall_deadline:
-                return 'wall_clock'
-        if self.max_cycles is not None \
-                and core.cycles >= self.max_cycles:
-            return 'cycles'
-        return None

@@ -1,6 +1,8 @@
 """Tests for the detailed CMP engine (Fig. 6 segment/version protocol
 with true core interleaving)."""
 
+import gc
+
 import pytest
 
 from repro.apps.registry import get_app
@@ -188,3 +190,30 @@ class TestDetailedEngine:
             program, config=PathExpanderConfig(mode=Mode.STANDARD),
             int_input=[3])
         assert result.mode == Mode.CMP
+
+
+class TestRunRelease:
+    """A finished detailed-CMP run frees itself by reference counting,
+    as a PathExpanderEngine run does: no interpreter's branch callback
+    keeps the engine and its memory image alive."""
+
+    def test_finished_run_frees_its_memory_image(self):
+        app = get_app('print_tokens2')
+        program = app.compile(0)
+        text, ints = app.default_input()
+
+        def live_memories():
+            return sum(type(obj) is MainMemory
+                       for obj in gc.get_objects())
+        gc.collect()
+        before = live_memories()
+        gc.disable()
+        try:
+            result = run_detailed_cmp(
+                program, detector='ccured',
+                config=app.make_config(mode=Mode.CMP),
+                text_input=text, int_input=ints)
+            assert result.nt_spawned > 0
+            assert live_memories() == before
+        finally:
+            gc.enable()

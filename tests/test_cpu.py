@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.config import BACKEND_CHOICES, PathExpanderConfig
 from repro.core.runner import run_program
-from repro.cpu.exceptions import FaultKind, ProgramExit, SimFault
+from repro.cpu.exceptions import (FaultKind, ProgramExit, SimFault,
+                                  UnsafeEvent)
 from repro.cpu.interpreter import Interpreter
 from repro.cpu.state import Core
 from repro.cpu.syscalls import IOContext
@@ -298,7 +299,8 @@ class TestSyscalls:
             b.emit('syscall', Syscall.PUTC)
         interp, _c, _m, _a, io = make_machine(build)
         interp.in_nt_path = True
-        assert interp.step() == 'unsafe'
+        with pytest.raises(UnsafeEvent):
+            interp.step()
         assert io.output_text == ''
 
     def test_rand_uses_core_state(self):

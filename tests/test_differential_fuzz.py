@@ -30,6 +30,10 @@ _SETTINGS = settings(max_examples=25, deadline=None,
 # Block promotion thresholds: compile on first entry, the default, never.
 _THRESHOLDS = (1, fastinterp._PROMOTE_AFTER, float('inf'))
 
+# L1 (size in bytes, ways): the paper's, and a direct-mapped 256 B one
+# whose volatile ways random NT-path stores overflow, often mid-block.
+_L1_GEOMETRIES = ((16384, 4), (256, 1))
+
 _VARS = ('a', 'b', 'c')
 
 
@@ -178,32 +182,36 @@ class TestDifferentialFuzz:
 
 class TestBackendFuzz:
     """Property form of the dual-backend equivalence invariant
-    (DESIGN.md): for random programs, the fast backend's RunResult is
-    byte-identical to the reference backend's in every mode, whenever
-    (or whether) its blocks are compiled: at each block promotion
-    threshold, on a cold and then a warm block memo."""
+    (DESIGN.md): for random programs and L1 geometries, the fast
+    backend's RunResult is byte-identical to the reference backend's in
+    every mode, whenever (or whether) its blocks are compiled: at each
+    block promotion threshold, on a cold and then a warm block memo."""
 
     @_SETTINGS
-    @given(_PROGRAM, st.integers(0, 100), st.integers(0, 100))
-    def test_backends_identical_in_every_mode(self, source, a, b):
+    @given(_PROGRAM, st.integers(0, 100), st.integers(0, 100),
+           st.sampled_from(_L1_GEOMETRIES))
+    def test_backends_identical_in_every_mode(self, source, a, b, l1):
         program = compile_minic(source, name='fuzz_backend')
         for mode in Mode.ALL:
-            reference = self._run(program, mode, 'reference', a, b)
+            reference = self._run(program, mode, 'reference', a, b, l1)
             for threshold in _THRESHOLDS:
                 program.block_memo.clear()
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(fastinterp, '_PROMOTE_AFTER',
                                   threshold)
                     for memo in ('cold', 'warm'):
-                        fast = self._run(program, mode, 'fast', a, b)
+                        fast = self._run(program, mode, 'fast', a, b,
+                                         l1)
                         assert fast == reference, (mode, threshold,
                                                    memo)
 
     @staticmethod
-    def _run(program, mode, backend, a, b):
+    def _run(program, mode, backend, a, b, l1):
+        size, ways = l1
         return run_program(
             program, detector='ccured',
-            config=PathExpanderConfig(mode=mode, backend=backend),
+            config=PathExpanderConfig(mode=mode, backend=backend,
+                                      l1_size_bytes=size, l1_ways=ways),
             int_input=[a, b]).to_dict()
 
 

@@ -2,13 +2,16 @@
 restoration, truncation, monitor-area realism and CMP/standard parity
 across the full application suite."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.apps.registry import get_app
 from repro.core.config import Mode, PathExpanderConfig
 from repro.core.engine import PathExpanderEngine
 from repro.core.result import NTPathTermination
-from repro.core.runner import run_program
+from repro.core.runner import run_detailed_cmp, run_program
 from repro.cpu.syscalls import IOContext
 from repro.minic.codegen import compile_minic
 from tests.conftest import run_minic
@@ -48,6 +51,66 @@ class TestCacheOverflowTermination:
         result = run_minic(src, mode=Mode.STANDARD, int_input=[1])
         assert result.nt_terminations.get(
             NTPathTermination.OVERFLOW, 0) == 0
+
+
+def _digest(data):
+    text = json.dumps(data, sort_keys=True, separators=(',', ':'))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# The paper's runs never overflow L1's volatile ways, so their pinned
+# figures cannot see how an overflow is charged.  A 256 B direct-mapped
+# L1 makes these runs overflow often.  Per (app, mode): cycles,
+# spawned, (unsafe, overflow, length) endings, and the to_dict()
+# digest of the engine's run and of the detailed CMP engine's.
+_OVERFLOW_PINS = {
+    ('schedule2', Mode.STANDARD):
+        (40_087, 75, (12, 8, 55), '789d184815f27d60', None),
+    ('schedule2', Mode.CMP):
+        (17_399, 75, (12, 8, 55), 'c971144d029098a0',
+         'b9cb9e15eab0763e'),
+    ('print_tokens2', Mode.STANDARD):
+        (128_560, 240, (17, 55, 168), '51db6ae5eaef3454', None),
+    ('print_tokens2', Mode.CMP):
+        (63_515, 237, (17, 54, 166), '35c06192a8787549',
+         'c7e57f374cbbcee4'),
+}
+
+_OVERFLOW_CASES = [(app, mode, engine)
+                   for app, mode in sorted(_OVERFLOW_PINS)
+                   for engine in ('reference', 'fast', 'detailed')
+                   if engine != 'detailed' or mode == Mode.CMP]
+
+
+class TestOverflowAccounting:
+    """Absolute cycles of runs that end NT-paths on every reason,
+    overflow included: the overflowing store's charge is pinned on
+    both backends and in the detailed CMP engine."""
+
+    @pytest.mark.parametrize('app_name,mode,engine', _OVERFLOW_CASES)
+    def test_tiny_l1_runs_are_pinned(self, app_name, mode, engine):
+        app = get_app(app_name)
+        program = app.compile(0)
+        text, ints = app.default_input()
+        config = app.make_config(mode, l1_size_bytes=256, l1_ways=1)
+        if engine == 'detailed':
+            result = run_detailed_cmp(program, detector='ccured',
+                                      config=config, text_input=text,
+                                      int_input=ints)
+        else:
+            result = run_program(program, detector='ccured',
+                                 config=config.replace(backend=engine),
+                                 text_input=text, int_input=ints)
+        cycles, spawned, endings, digest, detailed_digest = \
+            _OVERFLOW_PINS[app_name, mode]
+        ends = result.nt_terminations
+        assert result.cycles == cycles
+        assert result.nt_spawned == spawned
+        assert (ends.get(NTPathTermination.UNSAFE, 0),
+                ends.get(NTPathTermination.OVERFLOW, 0),
+                ends.get(NTPathTermination.LENGTH, 0)) == endings
+        assert _digest(result.to_dict()) == (
+            detailed_digest if engine == 'detailed' else digest)
 
 
 class TestStateRestoration:

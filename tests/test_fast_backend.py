@@ -333,8 +333,8 @@ class TestNTBlocks:
 
 
 # NT-side bodies (code from index 8 of ``_nt_program``), each ending
-# its NT-paths one way, keyed by the drive_nt outcome they produce: the
-# returned event, or the class name of the exception it propagates.
+# its NT-paths one way: the class name of the exception drive_nt
+# propagates, or None when the path runs to its length budget.
 _NT_ENDINGS = {
     None: ([Instr('li', 4, 0), Instr('add', 4, 4, 1),       # length
             Instr('jmp', 9)], {'max_nt_path_length': 12}),
@@ -348,6 +348,9 @@ _NT_ENDINGS = {
                   Instr('halt')], {}),
     'ProgramExit': ([Instr('halt')], {}),
 }
+_ENDED_BY = {None: None, 'overflow': 'VolatileOverflow',
+             'unsafe': 'UnsafeEvent', 'SimFault': 'SimFault',
+             'ProgramExit': 'ProgramExit'}
 
 
 class TestDriveNT:
@@ -355,19 +358,20 @@ class TestDriveNT:
 
     @staticmethod
     def _record(monkeypatch):
-        """Wrap both backends' ``drive_nt``; each NT-path appends its
-        outcome and the instret it stopped at."""
+        """Wrap both backends' ``drive_nt``; each NT-path appends the
+        class name of the exception that ended it (None at the length
+        budget), and the instret and cycles it stopped at."""
         outcomes = []
         for cls in (Interpreter, FastInterpreter):
             def recording(self, limit, drive=cls.drive_nt):
+                core = self.core
                 try:
-                    event = drive(self, limit)
+                    drive(self, limit)
                 except (SimFault, ProgramExit) as exc:
-                    outcomes.append((type(exc).__name__,
-                                     self.core.instret))
+                    outcomes.append((type(exc).__name__, core.instret,
+                                     core.cycles))
                     raise
-                outcomes.append((event, self.core.instret))
-                return event
+                outcomes.append((None, core.instret, core.cycles))
             monkeypatch.setattr(cls, 'drive_nt', recording)
         return outcomes
 
@@ -387,7 +391,8 @@ class TestDriveNT:
             outcomes[backend] = recorded[:]
             del recorded[:]
         assert outcomes['fast'] == outcomes['reference']
-        assert ending in {outcome for outcome, _ in outcomes['fast']}
+        assert _ENDED_BY[ending] in {outcome[0]
+                                     for outcome in outcomes['fast']}
 
     @pytest.mark.parametrize('after', [1, float('inf')])
     def test_chaos_variant_polls_once_per_dispatch(self, monkeypatch,

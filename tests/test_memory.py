@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu.exceptions import FaultKind, SimFault
+from repro.cpu.exceptions import FaultKind, SimFault, VolatileOverflow
+from repro.cpu.timing import OP_COSTS
 from repro.detectors.memcheck import MemoryCheckLogic
 from repro.memory.allocator import RED_ZONE, HeapAllocator
 from repro.memory.cache import Cache
@@ -289,10 +290,10 @@ class TestCache:
 
     def test_miss_then_hit(self):
         cache = self._cache()
-        first = cache.access(0, False)
-        second = cache.access(1, False)      # same line
-        assert not first.hit and first.cycles == 10
-        assert second.hit and second.cycles == 3
+        assert cache.access(0, False) == 10
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert cache.access(1, False) == 3      # same line
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_lru_eviction(self):
         cache = self._cache()
@@ -300,21 +301,28 @@ class TestCache:
         cache.access(0, False)     # line 0
         cache.access(8, False)     # line 2
         cache.access(16, False)    # line 4 -> evicts line 0
-        assert not cache.access(0, False).hit
+        assert cache.access(0, False) == 10
+        assert (cache.hits, cache.misses) == (0, 4)
 
     def test_volatile_overflow_when_all_ways_speculative(self):
         cache = self._cache()
         cache.access(0, True, version=1)    # line 0, volatile
         cache.access(8, True, version=1)    # line 2, volatile
-        result = cache.access(16, True, version=1)
-        assert result.volatile_overflow
+        with pytest.raises(VolatileOverflow) as info:
+            cache.access(16, True, version=1)
+        # the replacement completed before the raise
+        assert cache.misses == 3
+        assert cache.volatile_lines(1) == 2
+        assert info.value.cycles == OP_COSTS['st'] + 10
+        # a read miss into the same full set evicts but never raises
+        assert cache.access(0, False, version=1) == 10
 
     def test_committed_line_preferred_victim(self):
         cache = self._cache()
         cache.access(0, False)              # committed line 0
         cache.access(8, True, version=1)    # volatile line 2
-        result = cache.access(16, True, version=1)
-        assert not result.volatile_overflow   # committed line evicted
+        # the committed line is evicted: no overflow
+        assert cache.access(16, True, version=1) == 10
         assert cache.volatile_lines(1) == 2
 
     def test_gang_invalidate_drops_version_only(self):
@@ -324,7 +332,8 @@ class TestCache:
         dropped = cache.gang_invalidate(1)
         assert dropped == 1
         assert cache.volatile_lines() == 0
-        assert cache.access(0, False).hit
+        assert cache.access(0, False) == 3
+        assert cache.hits == 1
 
     def test_write_to_committed_line_takes_version(self):
         cache = self._cache()
@@ -337,4 +346,5 @@ class TestCache:
         cache.access(0, False)
         cache.reset()
         assert cache.hits == 0 and cache.misses == 0
-        assert not cache.access(0, False).hit
+        assert cache.access(0, False) == 10
+        assert cache.misses == 1
