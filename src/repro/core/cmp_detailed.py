@@ -136,7 +136,13 @@ class _NTContext:
 
 
 class DetailedCmpEngine:
-    """Cycle-interleaved CMP simulation of PathExpander."""
+    """Cycle-interleaved CMP simulation of PathExpander.
+
+    ``max_instructions`` counts only the primary core's (taken-path)
+    instructions, because the NT-paths run on other cores; the
+    single-core engine counts both, so the two truncate at different
+    points.
+    """
 
     def __init__(self, program, detector=None, config=None, io=None,
                  memory_words=1 << 20, stack_words=1 << 16,
@@ -231,6 +237,7 @@ class DetailedCmpEngine:
             self.primary_interp.step()
             if self.primary.instret >= limit:
                 self.result.truncated = True
+                self.result.truncation_reason = 'instructions'
                 self._finished = True
         except ProgramExit as exit_:
             self.result.exit_code = exit_.code

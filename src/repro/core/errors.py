@@ -4,9 +4,9 @@ Every failure the harness can produce is classifiable: each exception
 class carries a stable ``kind`` string plus a free-form ``details``
 dict, and :func:`classify` maps *any* exception (ours or foreign) onto
 one of those kind strings.  The job layer stamps the kind onto its
-failure events, so a batch's JSONL audit trail attributes every retry,
-quarantine and degradation to a machine-readable cause instead of an
-opaque ``repr``.
+failure events, so a batch's JSONL audit trail attributes every retry
+and degradation to a machine-readable cause instead of an opaque
+``repr``.
 
 The taxonomy replaces the ad-hoc ``RuntimeError``\\ s that used to mark
 internal invariant violations (memory-journal misuse, checkpoint

@@ -18,7 +18,7 @@ import time
 COUNTER_NAMES = ('jobs_submitted', 'jobs_run', 'cache_hits',
                  'cache_misses', 'retries', 'timeouts', 'failures',
                  'corrupt_evictions', 'serial_fallbacks',
-                 'quarantined', 'hung_worker_kills')
+                 'hung_worker_kills')
 
 
 class RunMetrics:

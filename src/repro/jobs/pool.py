@@ -4,22 +4,20 @@ The pool resolves each :class:`~repro.jobs.spec.JobSpec` in three
 steps: serve it from the :class:`~repro.jobs.store.ResultStore` if a
 valid record exists, otherwise execute it — across a
 ``ProcessPoolExecutor`` when ``jobs > 1``, in-process otherwise — and
-persist the fresh result.  Failed attempts are retried with exponential
-backoff; a per-job timeout counts as a failed attempt in *both* pooled
-and serial mode (serial execution runs under an ambient watchdog
-deadline — see :mod:`repro.resilience.watchdog`).  If worker processes
-cannot be spawned, or the pool breaks mid-batch, the remaining jobs
-fall back to serial in-process execution rather than failing the batch,
-carrying each in-flight job's attempt count with them.
+persist the fresh result.
 
-Hung workers are handled, not waited on: a pooled timeout with retries
-remaining terminates the worker processes, rebuilds the executor and
-resubmits every unfinished job (jobs are pure simulations, so restarts
-are safe).  A job that exhausts its attempts either raises a
-spec-attributed :class:`JobExecutionError` (``on_error='raise'``, the
-default) or is *quarantined* (``on_error='quarantine'``): recorded on
-``pool.quarantined``, its slot left ``None``, and the rest of the batch
-completes.
+Jobs are pure, deterministic simulations, so every failure has one
+remedy: run the job again.  One attempt loop (:meth:`JobPool._resolve`)
+owns that policy for both paths.  A failed or timed-out attempt is
+retried with exponential backoff; a job that exhausts its attempts
+raises a spec-attributed :class:`JobExecutionError`.  A serial attempt
+runs under an ambient watchdog deadline (see
+:mod:`repro.resilience.watchdog`); a pooled attempt waits on the job's
+future.  A pooled timeout kills the (possibly hung) workers, and the
+next attempt rebuilds the executor and resubmits every unfinished job.
+If worker processes cannot be started, or the pool breaks mid-batch,
+the remaining jobs fall back to serial in-process execution, keeping
+each job's attempt count.  No worker outlives :meth:`JobPool.run`.
 
 Workers return plain dicts (``RunResult.to_dict()``), the same form the
 cache stores, so the pooled, serial and cached paths all rehydrate
@@ -43,7 +41,8 @@ from repro.resilience.watchdog import deadline
 
 __all__ = ['JobPool', 'JobExecutionError', 'execute_spec']
 
-ON_ERROR_CHOICES = ('raise', 'quarantine')
+# Seconds a terminated worker gets to exit before it is killed.
+_JOIN_SECONDS = 2.0
 
 
 def execute_spec(spec_dict):
@@ -62,27 +61,29 @@ def execute_spec(spec_dict):
     return result, elapsed
 
 
-class _PoolState:
-    """The rebuildable part of one pooled batch."""
-
-    __slots__ = ('executor', 'futures')
-
-    def __init__(self, executor):
-        self.executor = executor
-        self.futures = {}
+def _stop_workers(executor):
+    """Terminate the executor's worker processes and join them (kill
+    any that ignore the request); returns how many there were."""
+    procs = list((getattr(executor, '_processes', None) or {}).values())
+    for proc in procs:
+        proc.terminate()
+    expiry = time.monotonic() + _JOIN_SECONDS
+    for proc in procs:
+        proc.join(max(expiry - time.monotonic(), 0))
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    executor.shutdown(wait=False, cancel_futures=True)
+    return len(procs)
 
 
 class JobPool:
     """Schedules job specs over workers, a cache and a retry policy."""
 
     def __init__(self, jobs=1, store=None, metrics=None, timeout=None,
-                 retries=2, backoff=0.25, runner=None, on_error='raise',
-                 heartbeat_interval=1.0):
+                 retries=2, backoff=0.25, runner=None):
         if jobs < 1:
             raise ValueError('jobs must be >= 1')
-        if on_error not in ON_ERROR_CHOICES:
-            raise ValueError('on_error must be one of %s'
-                             % (ON_ERROR_CHOICES,))
         self.jobs = jobs
         self.store = store
         self.metrics = metrics if metrics is not None else RunMetrics()
@@ -90,26 +91,17 @@ class JobPool:
         self.retries = retries
         self.backoff = backoff
         self.runner = runner if runner is not None else execute_spec
-        self.on_error = on_error
-        self.heartbeat_interval = heartbeat_interval
-        # (spec, JobExecutionError) per poison job of the last run().
-        self.quarantined = []
 
     # ------------------------------------------------------------------
 
     def run(self, specs):
-        """Resolve every spec; results come back in submission order.
-
-        With ``on_error='quarantine'`` a slot whose job exhausted its
-        attempts holds ``None`` (the failure is on ``quarantined``).
-        """
+        """Resolve every spec; results come back in submission order."""
         specs = list(specs)
         start = time.perf_counter()
         evictions_before = self.store.corrupt_evictions \
             if self.store is not None else 0
-        self.quarantined = []
         results = [None] * len(specs)
-        pending = []
+        pending = {}
         for index, spec in enumerate(specs):
             self.metrics.incr('jobs_submitted')
             record = self.store.get(spec.key) \
@@ -131,18 +123,17 @@ class JobPool:
             else:
                 if self.store is not None:
                     self.metrics.incr('cache_misses')
-                pending.append((index, spec))
+                pending[index] = spec
         if self.store is not None:
             evicted = self.store.corrupt_evictions - evictions_before
             if evicted:
                 self.metrics.incr('corrupt_evictions', evicted)
         if pending:
+            attempts = dict.fromkeys(pending, 0)
             if self.jobs > 1:
-                executed = self._run_pooled(pending)
+                self._run_pooled(pending, attempts, results)
             else:
-                executed = self._run_serial(pending)
-            for index, result in executed:
-                results[index] = result
+                self._run_serial(pending, attempts, results)
         self.metrics.add_wall_time(time.perf_counter() - start)
         return results
 
@@ -151,8 +142,37 @@ class JobPool:
 
     # ------------------------------------------------------------------
 
-    def _backoff_delay(self, attempt):
-        return self.backoff * (2 ** (attempt - 1))
+    def _resolve(self, index, spec, attempts, attempt):
+        """Call ``attempt(index, spec)`` until it returns
+        ``(result_dict, secs)`` or the job's attempts, counted in
+        ``attempts[index]``, are spent.  A ``BrokenProcessPool``
+        propagates with its attempt counted."""
+        while True:
+            attempts[index] += 1
+            tries = attempts[index]
+            try:
+                result_dict, elapsed = attempt(index, spec)
+            except (WatchdogTimeout, FutureTimeout):
+                self.metrics.incr('timeouts')
+                self.metrics.event('job_timeout', key=spec.key,
+                                   attempt=tries, timeout=self.timeout)
+                error = JobExecutionError(
+                    spec, tries, 'timed out after %ss' % self.timeout)
+            except BrokenProcessPool:
+                raise
+            except Exception as exc:
+                self.metrics.incr('failures')
+                self.metrics.event('job_failed', key=spec.key,
+                                   attempt=tries, error=repr(exc),
+                                   error_kind=classify(exc))
+                error = JobExecutionError(spec, tries, repr(exc))
+                error.__cause__ = exc
+            else:
+                return self._finish(spec, result_dict, elapsed)
+            if tries > self.retries:
+                raise error
+            self.metrics.incr('retries')
+            time.sleep(self.backoff * (2 ** (tries - 1)))
 
     def _finish(self, spec, result_dict, elapsed):
         self.metrics.incr('jobs_run')
@@ -164,218 +184,67 @@ class JobPool:
                            elapsed)
         return RunResult.from_dict(result_dict)
 
-    def _give_up(self, spec, error):
-        """Terminal failure: quarantine the job or raise.
+    def _serial_attempt(self, index, spec):
+        with deadline(self.timeout):
+            return self.runner(spec.to_dict())
 
-        Returns True when the caller should treat the job as resolved
-        (quarantined, slot stays None); raises otherwise.
-        """
-        if self.on_error == 'quarantine':
-            self.quarantined.append((spec, error))
-            self.metrics.incr('quarantined')
-            self.metrics.event('job_quarantined', key=spec.key,
-                               attempts=error.attempts,
-                               reason=error.reason)
-            return True
-        raise error
+    def _run_serial(self, pending, attempts, results):
+        for index, spec in pending.items():
+            results[index] = self._resolve(index, spec, attempts,
+                                           self._serial_attempt)
 
-    # -- serial path ---------------------------------------------------
+    def _run_pooled(self, pending, attempts, results):
+        unfinished = dict(pending)
+        futures = {}
+        executor = None
 
-    def _run_serial(self, pending, attempt_carry=None):
-        """In-process execution.  ``attempt_carry`` maps job index to
-        attempts already spent in a broken pool, so recovery does not
-        grant a failing job a fresh retry budget."""
-        carry = attempt_carry or {}
-        out = []
-        for index, spec in pending:
-            attempts = carry.get(index, 0)
-            while True:
-                attempts += 1
+        def pooled_attempt(index, spec):
+            nonlocal executor
+            if executor is None:
+                # First attempt, or the first since a timeout killed
+                # the workers: (re)start them on every unfinished job.
                 try:
-                    with deadline(self.timeout):
-                        result_dict, elapsed = \
-                            self.runner(spec.to_dict())
-                except WatchdogTimeout:
-                    self.metrics.incr('timeouts')
-                    self.metrics.event('job_timeout', key=spec.key,
-                                       attempt=attempts,
-                                       timeout=self.timeout)
-                    if attempts > self.retries:
-                        if self._give_up(spec, JobExecutionError(
-                                spec, attempts,
-                                'timed out after %ss' % self.timeout)):
-                            break
+                    executor = ProcessPoolExecutor(
+                        max_workers=min(self.jobs, len(unfinished)))
+                    for other, job in unfinished.items():
+                        futures[other] = executor.submit(
+                            self.runner, job.to_dict())
                 except Exception as exc:
-                    self.metrics.incr('failures')
-                    self.metrics.event('job_failed', key=spec.key,
-                                       attempt=attempts,
-                                       error=repr(exc),
-                                       error_kind=classify(exc))
-                    if attempts > self.retries:
-                        error = JobExecutionError(spec, attempts,
-                                                  repr(exc))
-                        error.__cause__ = exc
-                        if self._give_up(spec, error):
-                            break
-                else:
-                    out.append((index,
-                                self._finish(spec, result_dict,
-                                             elapsed)))
-                    break
-                self.metrics.incr('retries')
-                time.sleep(self._backoff_delay(attempts))
-        return out
-
-    # -- pooled path ---------------------------------------------------
-
-    def _make_executor(self, pending):
-        return ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(pending)))
-
-    def _run_pooled(self, pending):
-        try:
-            executor = self._make_executor(pending)
-        except Exception as exc:
-            self.metrics.incr('serial_fallbacks')
-            self.metrics.event('serial_fallback', error=repr(exc))
-            return self._run_serial(pending)
-        state = _PoolState(executor)
-        out = []
-        done = set()
-        attempt_carry = {}
-        finished = False
-        try:
-            state.futures = {index: state.executor.submit(
+                    attempts[index] -= 1    # no attempt ran
+                    raise BrokenProcessPool(
+                        'cannot start workers: %r' % exc) from exc
+            future = futures.pop(index, None) or executor.submit(
                 self.runner, spec.to_dict())
-                for index, spec in pending}
-            for index, spec in pending:
-                out.append((index,
-                            self._await_job(state, pending, done,
-                                            index, spec,
-                                            attempt_carry)))
-                done.add(index)
-            finished = True
-        except BrokenProcessPool as exc:
-            # A worker died hard (crash, OOM-kill, os._exit).  The
-            # executor is unusable; run the remaining jobs serially,
-            # preserving the in-flight attempt counts.
+            try:
+                return future.result(timeout=self.timeout)
+            except FutureTimeout:
+                # The worker may be hung, and a running future cannot
+                # be cancelled: kill the workers.
+                workers = _stop_workers(executor)
+                executor = None
+                self.metrics.incr('hung_worker_kills')
+                self.metrics.event('hung_worker_kill', workers=workers)
+                raise
+
+        try:
+            for index, spec in pending.items():
+                results[index] = self._resolve(index, spec, attempts,
+                                               pooled_attempt)
+                del unfinished[index]
+        except BaseException as exc:
+            # Any end but a finished batch kills the workers, which
+            # may be dead or hung.
+            if executor is not None:
+                _stop_workers(executor)
+            if not isinstance(exc, BrokenProcessPool):
+                raise
+            # A worker died hard (crash, OOM-kill, os._exit), or none
+            # could be started: run the rest serially.
             self.metrics.incr('serial_fallbacks')
             self.metrics.event('serial_fallback', error=repr(exc),
                                error_kind=classify(exc))
-            rest = [(i, s) for i, s in pending if i not in done]
-            out.extend(self._run_serial(rest, attempt_carry))
-        finally:
-            # A batch that finished waits for the executor's manager
-            # and queue-feeder threads, so none outlives run() to free
-            # objects under the caller; a broken or failed one may
-            # hold dead or hung workers and must not wait.
-            state.executor.shutdown(wait=finished, cancel_futures=True)
-        return out
-
-    def _await_job(self, state, pending, done, index, spec,
-                   attempt_carry):
-        attempts = 0
-        while True:
-            attempts += 1
-            attempt_carry[index] = attempts
-            try:
-                result_dict, elapsed = self._await_future(
-                    state.futures[index], spec, attempts)
-            except FutureTimeout:
-                self.metrics.incr('timeouts')
-                self.metrics.event('job_timeout', key=spec.key,
-                                   attempt=attempts,
-                                   timeout=self.timeout)
-                if attempts > self.retries:
-                    error = JobExecutionError(
-                        spec, attempts,
-                        'timed out after %ss' % self.timeout)
-                    if self.on_error == 'quarantine':
-                        # The batch continues: replace the hung
-                        # worker pool first.
-                        self._replace_executor(state, pending, done,
-                                               index)
-                        self._give_up(spec, error)
-                        return None
-                    self._terminate_workers(state.executor)
-                    raise error
-                # Retries remain: the worker may be hung, and a
-                # running future cannot be cancelled -- kill the
-                # workers and rebuild.
-                self._replace_executor(state, pending, done, index)
-            except BrokenProcessPool:
-                raise
-            except Exception as exc:
-                self.metrics.incr('failures')
-                self.metrics.event('job_failed', key=spec.key,
-                                   attempt=attempts, error=repr(exc),
-                                   error_kind=classify(exc))
-                if attempts > self.retries:
-                    error = JobExecutionError(spec, attempts,
-                                              repr(exc))
-                    error.__cause__ = exc
-                    if self._give_up(spec, error):
-                        return None
-            else:
-                attempt_carry.pop(index, None)
-                return self._finish(spec, result_dict, elapsed)
-            self.metrics.incr('retries')
-            time.sleep(self._backoff_delay(attempts))
-            state.futures[index] = state.executor.submit(
-                self.runner, spec.to_dict())
-
-    def _await_future(self, future, spec, attempt):
-        """Wait for one future, emitting liveness heartbeats.
-
-        Raises :class:`concurrent.futures.TimeoutError` once
-        ``self.timeout`` elapses (never waits past it).
-        """
-        if self.timeout is None:
-            return future.result()
-        expiry = time.monotonic() + self.timeout
-        beat = self.heartbeat_interval
-        while True:
-            remaining = expiry - time.monotonic()
-            if remaining <= 0:
-                raise FutureTimeout()
-            try:
-                return future.result(timeout=min(beat, remaining)
-                                     if beat else remaining)
-            except FutureTimeout:
-                if time.monotonic() >= expiry:
-                    raise
-                self.metrics.event(
-                    'heartbeat', key=spec.key, attempt=attempt,
-                    waited=round(self.timeout
-                                 - (expiry - time.monotonic()), 3))
-
-    def _terminate_workers(self, executor):
-        """Kill the executor's worker processes (hung-worker escape)."""
-        procs = list((getattr(executor, '_processes', None)
-                      or {}).values())
-        killed = 0
-        for proc in procs:
-            try:
-                proc.terminate()
-                killed += 1
-            except Exception:
-                pass
-        self.metrics.incr('hung_worker_kills')
-        self.metrics.event('hung_worker_kill', workers=killed)
-
-    def _replace_executor(self, state, pending, done, current_index):
-        """Kill the workers, rebuild the executor and resubmit every
-        unfinished job except ``current_index`` (its retry loop
-        resubmits it after the backoff).  Jobs are pure simulations,
-        so restarting in-flight ones is safe."""
-        self._terminate_workers(state.executor)
-        state.executor.shutdown(wait=False, cancel_futures=True)
-        try:
-            state.executor = self._make_executor(pending)
-        except Exception as exc:
-            raise BrokenProcessPool(
-                'executor rebuild failed: %r' % exc) from exc
-        for index, spec in pending:
-            if index not in done and index != current_index:
-                state.futures[index] = state.executor.submit(
-                    self.runner, spec.to_dict())
+            self._run_serial(unfinished, attempts, results)
+        else:
+            # Wait for the executor's manager and queue-feeder threads,
+            # so none outlives run() to free objects under the caller.
+            executor.shutdown(wait=True)

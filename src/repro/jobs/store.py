@@ -89,9 +89,8 @@ class ResultStore:
     def _validate(record, key):
         """Why ``record`` is unusable for ``key``, or None when valid.
 
-        Version-1 records (no checksum) are accepted unverified so a
-        warm cache survives the upgrade; anything carrying a checksum
-        must match it.
+        Every record must carry a matching checksum; one written
+        without (an older record version) simply reruns.
         """
         if not isinstance(record, dict):
             return 'not a record'
@@ -99,10 +98,8 @@ class ResultStore:
             return 'key mismatch'
         if not isinstance(record.get('result'), dict):
             return 'missing result'
-        checksum = record.get(_CHECKSUM_FIELD)
-        if record.get('record_version', 1) >= 2 or checksum is not None:
-            if checksum != _record_checksum(record):
-                return 'checksum mismatch'
+        if record.get(_CHECKSUM_FIELD) != _record_checksum(record):
+            return 'checksum mismatch'
         return None
 
     def get(self, key):

@@ -184,6 +184,26 @@ class TestDetailedEngine:
         assert results['reference']['nt_spawned'] > 0
         assert results['reference']['reports']
 
+    def test_instruction_budget_counts_the_primary_core_only(self):
+        # NT-paths run on other cores, so only taken-path instructions
+        # count; the single-core engine counts both.
+        app = get_app('schedule2')
+        program = app.compile(0)
+        text, ints = app.default_input()
+        config = app.make_config(mode=Mode.CMP, max_instructions=2000)
+        detailed = run_detailed_cmp(program, detector='ccured',
+                                    config=config, text_input=text,
+                                    int_input=ints)
+        assert detailed.truncated
+        assert detailed.truncation_reason == 'instructions'
+        assert detailed.instret_taken == 2000
+        assert detailed.instret_nt > 0
+        single = run_program(program, detector='ccured', config=config,
+                             text_input=text, int_input=ints)
+        assert single.truncation_reason == 'instructions'
+        assert single.instret_taken < 2000 \
+            <= single.instret_taken + single.instret_nt
+
     def test_config_coerced_to_cmp_mode(self):
         program = compile_minic(SRC, name='coerce')
         result = run_detailed_cmp(

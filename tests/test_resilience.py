@@ -12,6 +12,7 @@ result, or an unhandled internal traceback.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -87,11 +88,11 @@ def _failing_runner(spec_dict):
     raise RuntimeError('persistent failure')
 
 
-def _poison_runner(spec_dict):
-    """Fails only the job whose first int input is FAIL_MARKER."""
-    if _marker(spec_dict) == FAIL_MARKER:
-        raise RuntimeError('poison job')
-    return pool_module.execute_spec(spec_dict)
+def _exit_in_worker_runner(spec_dict):
+    """Kills a pool worker outright; fails in the batch process."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    raise RuntimeError('persistent failure')
 
 
 def _hang_runner(spec_dict):
@@ -293,28 +294,17 @@ class TestWatchdog:
 
 
 class TestSerialTimeoutParity:
-    def test_serial_timeout_matches_pooled_accounting(self):
-        pool = JobPool(jobs=1, timeout=0.1, retries=1, backoff=0.001)
+    @pytest.mark.parametrize('jobs', [1, 2])
+    def test_timeout_accounting(self, jobs):
+        """A serial deadline and a pooled future timeout count alike;
+        only the pooled path has workers to kill."""
+        pool = JobPool(jobs=jobs, timeout=0.1, retries=1, backoff=0.001)
         with pytest.raises(JobExecutionError, match='timed out'):
             pool.run([slow_spec()])
-        # Identical counters to the pooled timeout contract
-        # (tests/test_jobs.py::test_timeout_accounting).
-        assert pool.metrics.timeouts == 2
-        assert pool.metrics.retries == 1
-        assert pool.metrics.jobs_run == 0
-
-    def test_serial_timeout_quarantines_when_asked(self):
-        pool = JobPool(jobs=1, timeout=0.1, retries=0, backoff=0.001,
-                       on_error='quarantine')
-        results = pool.run([slow_spec(), tiny_spec()])
-        assert results[0] is None
-        assert results[1] is not None
-        assert results[1].output.strip() == '5'
-        assert len(pool.quarantined) == 1
-        spec, error = pool.quarantined[0]
-        assert spec.key == slow_spec().key
-        assert error.key == spec.key
-        assert pool.metrics.quarantined == 1
+        metrics = pool.metrics
+        assert (metrics.timeouts, metrics.retries, metrics.failures,
+                metrics.jobs_run) == (2, 1, 0, 0)
+        assert metrics.hung_worker_kills == (2 if jobs > 1 else 0)
 
 
 class TestStructuredErrors:
@@ -334,8 +324,9 @@ class TestStructuredErrors:
 
     def test_failure_events_carry_error_kind(self):
         pool = JobPool(jobs=1, runner=_failing_runner, retries=0,
-                       backoff=0.001, on_error='quarantine')
-        pool.run([tiny_spec()])
+                       backoff=0.001)
+        with pytest.raises(JobExecutionError):
+            pool.run([tiny_spec()])
         failed = [entry for entry in pool.metrics.events
                   if entry['event'] == 'job_failed']
         assert failed
@@ -344,53 +335,33 @@ class TestStructuredErrors:
     def test_attempt_carry_preserved_through_recovery(self):
         """Serial fallback must not grant a fresh retry budget."""
         spec = tiny_spec()
-        pool = JobPool(jobs=1, runner=_failing_runner, retries=2,
-                       backoff=0.001)
+        pool = JobPool(jobs=2, runner=_exit_in_worker_runner,
+                       retries=2, backoff=0.001)
         with pytest.raises(JobExecutionError) as info:
-            # Two attempts already burned inside a (simulated) broken
-            # pool; the serial path gets only the one remaining.
-            pool._run_serial([(0, spec)], attempt_carry={0: 2})
+            # The first attempt breaks the pool; the serial path gets
+            # only the two remaining.
+            pool.run([spec])
         assert info.value.attempts == 3
-        assert pool.metrics.failures == 1
-
-
-class TestQuarantine:
-    def test_poison_job_is_quarantined_batch_completes(self):
-        specs = [tiny_spec(5), tiny_spec(FAIL_MARKER), tiny_spec(7)]
-        pool = JobPool(jobs=1, runner=_poison_runner, retries=1,
-                       backoff=0.001, on_error='quarantine')
-        results = pool.run(specs)
-        assert results[0].output.strip() == '5'
-        assert results[1] is None
-        assert results[2].output.strip() == '7'
-        assert pool.metrics.quarantined == 1
-        assert len(pool.quarantined) == 1
-        assert pool.quarantined[0][0].key == specs[1].key
-
-    def test_bad_on_error_rejected(self):
-        with pytest.raises(ValueError, match='on_error'):
-            JobPool(on_error='explode')
+        assert pool.metrics.serial_fallbacks == 1
+        assert pool.metrics.failures == 2
 
 
 class TestHungWorkerRecovery:
-    def test_hung_worker_killed_batch_completes(self):
+    def test_hung_worker_killed_retried_then_fails(self):
         specs = [tiny_spec(5), tiny_spec(FAIL_MARKER)]
         pool = JobPool(jobs=2, runner=_hang_runner, timeout=2.0,
-                       retries=0, backoff=0.001,
-                       on_error='quarantine', heartbeat_interval=0.2)
+                       retries=1, backoff=0.001)
         start = time.monotonic()
-        results = pool.run(specs)
+        with pytest.raises(JobExecutionError) as info:
+            pool.run(specs)
         elapsed = time.monotonic() - start
+        assert multiprocessing.active_children() == []
         assert elapsed < 15.0          # never waits out the 30s hang
-        assert results[0] is not None
-        assert results[0].output.strip() == '5'
-        assert results[1] is None
-        assert pool.metrics.timeouts >= 1
-        assert pool.metrics.hung_worker_kills >= 1
-        assert len(pool.quarantined) == 1
-        heartbeats = [entry for entry in pool.metrics.events
-                      if entry['event'] == 'heartbeat']
-        assert heartbeats
+        assert info.value.key == specs[1].key
+        assert info.value.attempts == 2
+        assert pool.metrics.jobs_run == 1
+        assert pool.metrics.timeouts == 2
+        assert pool.metrics.hung_worker_kills == 2
 
 
 class TestWorkerCrashInjection:
@@ -444,16 +415,18 @@ class TestStoreIntegrity:
         assert store.get(spec.key) is None
         assert store.corrupt_evictions == 1
 
-    def test_version1_records_still_readable(self, tmp_path):
+    def test_record_without_checksum_is_evicted(self, tmp_path):
         spec = tiny_spec()
-        store, result, path = self._seed_store(tmp_path, spec)
+        store, _result, path = self._seed_store(tmp_path, spec)
         with open(path, encoding='utf-8') as handle:
             record = json.load(handle)
         del record['checksum']
         record['record_version'] = 1
         with open(path, 'w', encoding='utf-8') as handle:
             json.dump(record, handle)
-        assert store.get(spec.key)['result'] == result
+        assert store.get(spec.key) is None
+        assert store.corrupt_evictions == 1
+        assert not os.path.exists(path)
 
     def test_fsck_reports_and_repairs(self, tmp_path):
         good = tiny_spec(5)
@@ -533,25 +506,27 @@ def _plan_id(plan):
     return ','.join(sorted(plan.specs))
 
 
-@pytest.mark.parametrize('plan', FaultPlan.default_matrix(SEED),
-                         ids=_plan_id)
-def test_single_fault_leaves_batch_correct(plan, tmp_path):
-    """Any single default-matrix fault: the batch completes and its
-    results (including a warm-cache replay) are byte-identical to a
-    fault-free run."""
+@pytest.mark.parametrize('plan,jobs', [
+    pytest.param(plan, jobs, id=_plan_id(plan) + ('' if jobs == 1
+                                                  else '-jobs2'))
+    for jobs in (1, 2) for plan in FaultPlan.default_matrix(SEED)])
+def test_single_fault_leaves_batch_correct(plan, jobs, tmp_path):
+    """Any single default-matrix fault, serial or pooled: the batch
+    completes and its results (including a warm-cache replay) are
+    byte-identical to a fault-free run."""
     specs = [app_spec(), tiny_spec()]
     expected = [run_job(spec).to_dict() for spec in specs]
 
     install_plan(plan, propagate=True)
     store = ResultStore(tmp_path / 'chaos')
-    pool = JobPool(jobs=1, store=store, retries=2, backoff=0.001,
+    pool = JobPool(jobs=jobs, store=store, retries=2, backoff=0.001,
                    timeout=60.0)
     results = pool.run(specs)
     assert [r.to_dict() for r in results] == expected
 
     # Warm replay over the same (possibly corrupted) store: corrupt
     # records are evicted and rerun, never served.
-    replay = JobPool(jobs=1, store=store, retries=2, backoff=0.001,
+    replay = JobPool(jobs=jobs, store=store, retries=2, backoff=0.001,
                      timeout=60.0)
     replayed = replay.run(specs)
     assert [r.to_dict() for r in replayed] == expected
