@@ -7,7 +7,7 @@ from repro.harness.experiments import run_fig3
 
 
 def test_fig3_crash_latency(benchmark, experiment_pool):
-    result, details = benchmark.pedantic(
+    result = benchmark.pedantic(
         partial(run_fig3, pool=experiment_pool), rounds=1, iterations=1)
     emit(result)
     rows = result.row_dict()

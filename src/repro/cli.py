@@ -9,7 +9,7 @@
     python -m repro bugs APP [--version N]
     python -m repro experiment ID [--jobs N] [--cache DIR] [--json]
     python -m repro batch [IDS... | --all] [--jobs N] [--cache DIR]
-    python -m repro report [PATH]            # regenerate EXPERIMENTS.md
+                          [--markdown PATH]
     python -m repro cache fsck DIR [--repair] [--json]
 
 ``--jobs N`` fans an experiment's simulations out over N worker
@@ -19,7 +19,8 @@ each job, serial or pooled.  Each prints a job metrics summary after
 the tables, and a job that fails every attempt ends the command with
 its one-line error and exit status 1.  A batch resolves the
 simulations of all its experiments together, running each distinct
-one once.
+one once; ``batch --all --markdown EXPERIMENTS.md`` regenerates the
+paper's tables and figures as one markdown file.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ import os
 import sys
 
 from repro.apps.bugs import classify_reports
-from repro.apps.registry import ALL_APPS, get_app
+from repro.apps.registry import ALL_APPS
 from repro.core.config import BACKEND_CHOICES, Mode, PathExpanderConfig
 from repro.core.errors import JobExecutionError
 from repro.core.runner import make_detector, run_program
-from repro.harness import experiments
+from repro.harness import experiments, generate_report
 from repro.harness.trace import TracedRun
 from repro.isa.disasm import disassemble, function_listing
 from repro.minic.codegen import compile_minic
@@ -87,8 +88,6 @@ def _build_parser():
 
     exp_cmd = sub.add_parser('experiment', help='run one experiment')
     exp_cmd.add_argument('id', choices=sorted(experiments.EXPERIMENTS))
-    exp_cmd.add_argument('--plot', action='store_true',
-                         help='render ASCII charts (fig3, fig7)')
     _add_jobs_options(exp_cmd)
 
     batch_cmd = sub.add_parser(
@@ -98,11 +97,10 @@ def _build_parser():
                            help='experiment ids (see "experiment")')
     batch_cmd.add_argument('--all', action='store_true',
                            help='run every experiment')
+    batch_cmd.add_argument('--markdown', default=None, metavar='PATH',
+                           help='also write the tables as markdown '
+                                '(EXPERIMENTS.md)')
     _add_jobs_options(batch_cmd)
-
-    report_cmd = sub.add_parser('report',
-                                help='regenerate EXPERIMENTS.md')
-    report_cmd.add_argument('path', nargs='?', default='EXPERIMENTS.md')
 
     cache_cmd = sub.add_parser('cache',
                                help='manage an on-disk result cache')
@@ -167,7 +165,8 @@ def _make_pool(args):
 
 def _plan_kwargs(args, ids):
     """Driver arguments from ``--apps``, or None (reported on stderr)
-    if an experiment in ``ids`` takes no app list."""
+    if an experiment in ``ids`` takes no app list or an app is
+    unknown."""
     if not args.apps:
         return {}
     fixed = [exp_id for exp_id in ids if 'apps' not in inspect.signature(
@@ -176,8 +175,15 @@ def _plan_kwargs(args, ids):
         print('%s: --apps does not apply to %s (no app list)'
               % (args.command, ', '.join(fixed)), file=sys.stderr)
         return None
-    return {'apps': tuple(name.strip() for name in args.apps.split(',')
-                          if name.strip())}
+    apps = tuple(name.strip() for name in args.apps.split(',')
+                 if name.strip())
+    unknown = [name for name in apps if name not in ALL_APPS]
+    if unknown:
+        print('%s: unknown app(s): %s (choose from %s)'
+              % (args.command, ', '.join(unknown),
+                 ', '.join(sorted(ALL_APPS))), file=sys.stderr)
+        return None
+    return {'apps': apps}
 
 
 def _cmd_run(args):
@@ -233,7 +239,17 @@ def _cmd_apps(_args):
 
 
 def _cmd_bugs(args):
-    app = get_app(args.app)
+    app = ALL_APPS.get(args.app)
+    if app is None:
+        print('bugs: unknown app: %s (choose from %s)'
+              % (args.app, ', '.join(sorted(ALL_APPS))), file=sys.stderr)
+        return 2
+    versions = sorted({0} | set(app.versions))
+    if args.version not in versions:
+        print('bugs: %s has no version %d (choose from %s)'
+              % (args.app, args.version,
+                 ', '.join(map(str, versions))), file=sys.stderr)
+        return 2
     program = app.compile(args.version)
     bugs = app.bugs(args.version)
     text, ints = app.default_input()
@@ -256,44 +272,11 @@ def _cmd_bugs(args):
 
 
 def _cmd_experiment(args):
-    kwargs = _plan_kwargs(args, [args.id])
-    if kwargs is None:
-        return 2
-    _apply_backend(args)
-    pool = _make_pool(args)
-    plot = None
-    try:
-        if args.plot and args.id == 'fig3':
-            from repro.harness.plots import fig3_plot
-            result, details = experiments.run_fig3(pool=pool, **kwargs)
-            plot = fig3_plot(details)
-        else:
-            result = experiments.EXPERIMENTS[args.id](pool=pool,
-                                                      **kwargs)
-    except JobExecutionError as exc:
-        print('experiment: %s' % exc, file=sys.stderr)
-        return 1
-    if args.plot and args.id == 'fig7':
-        from repro.harness.plots import coverage_bars
-        plot = coverage_bars(result.rows)
-    if args.json:
-        payload = result.to_dict()
-        if pool is not None:
-            payload['metrics'] = pool.metrics.to_dict()
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(result.format())
-    if plot is not None:
-        print()
-        print(plot)
-    if pool is not None:
-        print()
-        print(pool.metrics.format_summary())
-    return 0
+    return _run_experiments(args, [args.id])
 
 
 def _cmd_batch(args):
-    known = sorted(experiments.EXPERIMENTS)
+    known = list(experiments.EXPERIMENTS)
     ids = known if args.all else list(args.ids)
     if not ids:
         print('batch: give experiment IDs or --all', file=sys.stderr)
@@ -303,6 +286,12 @@ def _cmd_batch(args):
         print('batch: unknown experiment id(s): %s (choose from %s)'
               % (', '.join(unknown), ', '.join(known)), file=sys.stderr)
         return 2
+    return _run_experiments(args, ids)
+
+
+def _run_experiments(args, ids):
+    """Resolve experiments ``ids`` in one batch and print their tables
+    (or JSON), then the job metrics of a pool, if one is used."""
     kwargs = _plan_kwargs(args, ids)
     if kwargs is None:
         return 2
@@ -311,25 +300,25 @@ def _cmd_batch(args):
     try:
         tables = experiments.run_batch(ids, pool=pool, **kwargs)
     except JobExecutionError as exc:
-        print('batch: %s' % exc, file=sys.stderr)
+        print('%s: %s' % (args.command, exc), file=sys.stderr)
         return 1
+    if getattr(args, 'markdown', None):
+        with open(args.markdown, 'w') as stream:
+            generate_report.generate(stream, tables)
     if args.json:
-        payload = {'experiments': [table.to_dict() for table in tables]}
+        if args.command == 'experiment':
+            payload = tables[0].to_dict()
+        else:
+            payload = {'experiments': [table.to_dict()
+                                       for table in tables]}
         if pool is not None:
             payload['metrics'] = pool.metrics.to_dict()
         print(json.dumps(payload, indent=2))
         return 0
-    for table in tables:
-        print(table.format())
-        print()
+    print('\n\n'.join(table.format() for table in tables))
     if pool is not None:
+        print()
         print(pool.metrics.format_summary())
-    return 0
-
-
-def _cmd_report(args):
-    from repro.harness.generate_report import main as report_main
-    report_main([args.path])
     return 0
 
 
@@ -367,7 +356,6 @@ _COMMANDS = {
     'bugs': _cmd_bugs,
     'experiment': _cmd_experiment,
     'batch': _cmd_batch,
-    'report': _cmd_report,
     'cache': _cmd_cache,
 }
 

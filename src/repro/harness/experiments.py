@@ -25,6 +25,7 @@ from repro.apps.registry import (BUGGY_APP_NAMES, WORKLOAD_APP_NAMES,
 from repro.core.config import Mode, PathExpanderConfig
 from repro.core.result import NTPathTermination
 from repro.core.runner import make_detector, run_detailed_cmp, run_job
+from repro.harness.plots import coverage_bars, fig3_plot
 from repro.harness.reporting import ExperimentResult, percent
 from repro.jobs.spec import JobSpec
 from repro.workloads.inputs import CUMULATIVE_APP_NAMES, input_suite
@@ -237,7 +238,7 @@ LATENCY_SETUP = dict(nt_counter_threshold=1, variable_fixing=False,
 
 
 @_experiment('fig3')
-def _fig3_table(apps=FIG3_APPS):
+def run_fig3(apps=FIG3_APPS):
     specs = [_app_job(app_name, 'none', **LATENCY_SETUP)
              for app_name in apps]
 
@@ -262,21 +263,17 @@ def _fig3_table(apps=FIG3_APPS):
         headers = ['application', '#NT-paths'] + [
             'stopped<=%d' % b for b in FIG3_BUCKETS] + [
             'survive>=1000', 'crash ratio']
+        chart = fig3_plot({app_name: result.nt_details
+                           for app_name, result in zip(apps, results)},
+                          width=56)
         return ExperimentResult(
             'fig3', 'Crash-latency and unsafe-latency distribution',
             headers, rows,
             notes=['paper: 65-99% of NT-paths survive 1000 '
                    'instructions; go stops earliest in only ~0.5% of '
-                   'paths; gzip/vpr stop mostly on unsafe events'])
+                   'paths; gzip/vpr stop mostly on unsafe events',
+                   ''] + chart.splitlines())
     return specs, tabulate
-
-
-def run_fig3(apps=FIG3_APPS, pool=None):
-    """The fig3 table and, per app, its NT-path records (for plots)."""
-    specs, tabulate = _fig3_table.plan(apps)
-    results = _run_jobs(pool, specs)
-    return tabulate(results), {app_name: result.nt_details
-                               for app_name, result in zip(apps, results)}
 
 
 # ---------------------------------------------------------------------
@@ -300,7 +297,8 @@ def run_fig7(apps=WORKLOAD_APP_NAMES, mode=Mode.STANDARD):
             'fig7', 'Branch coverage of a single monitored run',
             ['application', '#edges', 'baseline coverage',
              'PathExpander coverage', 'NT-paths'], rows,
-            notes=['paper: coverage rises from 40% to 65% on average'])
+            notes=['paper: coverage rises from 40% to 65% on average',
+                   ''] + coverage_bars(rows).splitlines())
     return specs, tabulate
 
 

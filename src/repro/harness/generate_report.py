@@ -1,19 +1,17 @@
-"""Regenerates EXPERIMENTS.md from live experiment runs.
+"""Renders EXPERIMENTS.md from the tables of one experiment batch.
 
 Usage::
 
-    python -m repro.harness.generate_report [output-path]
+    python -m repro batch --all --markdown EXPERIMENTS.md
 
-Runs every registered experiment driver and writes the measured
-tables next to the paper's reported numbers.  Takes about a minute.
+:func:`generate` writes each measured table next to the paper's
+reported numbers.  The tables come from
+:func:`repro.harness.experiments.run_batch`, so the file depends only
+on the simulations, and any backend, job count or cache writes the same
+bytes.
 """
 
 from __future__ import annotations
-
-import sys
-import time
-
-from repro.harness import experiments
 
 _PAPER_NOTES = {
     'table2': 'Machine parameters are carried over from Table 2 / '
@@ -85,65 +83,21 @@ _HEADER = '''# EXPERIMENTS — paper vs. measured
 
 Every table and figure of the PathExpander paper (MICRO 2006),
 regenerated by this reproduction.  Generated by
-`python -m repro.harness.generate_report`; the same tables are printed
-and asserted by `pytest benchmarks/ --benchmark-only`.
+`python -m repro batch --all --markdown EXPERIMENTS.md`; the same
+tables are printed and asserted by `pytest benchmarks/ --benchmark-only`.
 
 Numbers are produced by the interpreter-level model described in
 DESIGN.md: treat *relative* results (who wins, by what factor, which
 mechanism causes each miss) as the reproduction target, not absolute
 cycle counts.
-
 '''
 
 
-def _fig3_with_plot():
-    from repro.harness.plots import fig3_plot
-    result, details = experiments.run_fig3()
-    result.notes.append('')
-    for line in fig3_plot(details, width=56).splitlines():
-        result.notes.append(line)
-    return result
-
-
-def _fig7_with_plot():
-    from repro.harness.plots import coverage_bars
-    result = experiments.run_fig7()
-    result.notes.append('')
-    for line in coverage_bars(result.rows).splitlines():
-        result.notes.append(line)
-    return result
-
-
-_WITH_PLOT = {'fig3': _fig3_with_plot, 'fig7': _fig7_with_plot}
-
-
-def default_steps():
-    """``(id, runner)`` for every registered experiment, in order."""
-    return [(exp_id, _WITH_PLOT.get(exp_id, driver))
-            for exp_id, driver in experiments.EXPERIMENTS.items()]
-
-
-def generate(stream, steps=None):
-    steps = steps if steps is not None else default_steps()
+def generate(stream, tables):
+    """Write the header, then each ``ExperimentResult`` in ``tables``
+    under its paper note."""
     stream.write(_HEADER)
-    for exp_id, runner in steps:
-        started = time.time()
-        result = runner()
-        elapsed = time.time() - started
-        stream.write('## %s — %s\n\n' % (exp_id, result.title))
-        stream.write('%s\n\n' % _PAPER_NOTES[exp_id])
-        stream.write('```\n%s\n```\n\n' % result.format())
-        stream.write('_(regenerated in %.1fs)_\n\n' % elapsed)
-        print('%-8s done in %5.1fs' % (exp_id, elapsed))
-
-
-def main(argv=None):
-    argv = argv if argv is not None else sys.argv[1:]
-    path = argv[0] if argv else 'EXPERIMENTS.md'
-    with open(path, 'w') as stream:
-        generate(stream)
-    print('wrote %s' % path)
-
-
-if __name__ == '__main__':
-    main()
+    for table in tables:
+        stream.write('\n## %s — %s\n\n%s\n\n```\n%s\n```\n'
+                     % (table.exp_id, table.title,
+                        _PAPER_NOTES[table.exp_id], table.format()))

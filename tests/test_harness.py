@@ -68,15 +68,21 @@ class TestExperimentDrivers:
     benchmarks/)."""
 
     def test_fig3_single_app(self):
-        result, details = experiments.run_fig3(apps=('gzip_app',))
+        result = experiments.run_fig3(apps=('gzip_app',))
         assert len(result.rows) == 1
-        assert 'gzip_app' in details
-        assert details['gzip_app'], 'must collect NT records'
+        records = result.rows[0][1]
+        assert records > 0, 'must collect NT records'
+        # The chart is drawn from the NT-path records themselves.
+        assert any(note.startswith('gzip_app -- stopped NT-path ratio')
+                   and note.endswith(' of %d stop early)' % records)
+                   for note in result.notes)
 
     def test_fig7_single_app(self):
         result = experiments.run_fig7(apps=('schedule',))
         row = result.rows[0]
         assert row[0] == 'schedule'
+        assert any(note.startswith('schedule ') and '->' in note
+                   for note in result.notes), 'coverage bars in notes'
 
     def test_fig8_small(self):
         result = experiments.run_fig8(apps=('schedule2',), runs=5)
@@ -180,6 +186,30 @@ class TestCLI:
         code, out = self._run_cli(['experiment', 'table2'], capsys)
         assert code == 0
         assert 'spawn overhead' in out
+
+    @pytest.mark.parametrize('argv,message', [
+        (['experiment', 'fig7', '--apps', 'nope'],
+         'experiment: unknown app(s): nope '),
+        (['batch', 'fig7', 'fig9', '--apps', 'schedule,nope'],
+         'batch: unknown app(s): nope '),
+        (['bugs', 'no_such_app'], 'bugs: unknown app: no_such_app '),
+        (['bugs', 'go_app', '--version', '99'],
+         'bugs: go_app has no version 99 '),
+    ])
+    def test_unknown_app_or_version_exits_2(self, capsys, argv, message):
+        from repro.cli import main
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ''
+        assert captured.err.count('\n') == 1
+        assert captured.err.startswith(message)
+
+    def test_report_command_is_gone(self, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(['report'])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     @pytest.mark.parametrize('exp_id,app', [('fig3', 'gzip_app'),
                                             ('ext1', 'gzip_app'),
